@@ -24,6 +24,11 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test -q --workspace
 
+echo "==> cargo test perfbench"
+# The benchmark is a package of its own that reaches crates/* by path;
+# testing it here makes a public-API change that breaks it fail CI.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 

@@ -59,6 +59,9 @@ impl Estimate {
 pub struct ModelDatabase {
     records: Vec<DbRecord>,
     aux: AuxData,
+    /// Per type, the deepest homogeneous (base-test) record's VM count;
+    /// `None` when the type has no base tests.
+    base_depth: [Option<u32>; 3],
 }
 
 /// Pessimistic extrapolation exponent: per-VM execution times beyond the
@@ -80,7 +83,18 @@ impl ModelDatabase {
                 )));
             }
         }
-        Ok(ModelDatabase { records, aux })
+        let base_depth = WorkloadType::ALL.map(|ty| {
+            records
+                .iter()
+                .filter(|r| r.mix.sole_type() == Some(ty))
+                .map(|r| r.mix[ty])
+                .max()
+        });
+        Ok(ModelDatabase {
+            records,
+            aux,
+            base_depth,
+        })
     }
 
     /// The auxiliary (Table I) parameters.
@@ -181,12 +195,7 @@ impl ModelDatabase {
         let bounds = self.aux.os_bounds;
         if let Some(ty) = mix.sole_type() {
             // Homogeneous: clamp to the deepest base-test point.
-            let max_n = self
-                .records
-                .iter()
-                .filter(|r| r.mix.sole_type() == Some(ty))
-                .map(|r| r.mix[ty])
-                .max()
+            let max_n = self.base_depth[ty.index()]
                 .ok_or_else(|| EavmError::ModelMiss(format!("no base tests for type {ty}")))?;
             return Ok(MixVector::single(ty, mix[ty].min(max_n)));
         }

@@ -15,7 +15,7 @@
 //!   executes, so allocator-model error propagates realistically into
 //!   the results.
 
-use eavm_benchdb::ModelDatabase;
+use eavm_benchdb::{Estimate, ModelDatabase};
 use eavm_testbed::{ApplicationProfile, BenchmarkSuite, ContentionModel, PowerModel, ServerSpec};
 use eavm_types::{EavmError, Joules, MixVector, Seconds, Watts, WorkloadType};
 
@@ -143,36 +143,89 @@ pub trait AllocationModel {
 
 /// The empirical model: lookups (and bounded extrapolation) against the
 /// benchmarked database.
+///
+/// Every mix inside the hostable bounds is answered from a dense table
+/// built once in [`DbModel::new`]; each entry is
+/// [`ModelDatabase::estimate`] of its mix, so the database stays the
+/// single source of truth and an in-box query costs index arithmetic
+/// plus a load. Mixes outside the bounds, and in-box mixes the database
+/// cannot estimate (the empty mix), go to the database directly.
 #[derive(Debug, Clone)]
 pub struct DbModel {
     db: ModelDatabase,
+    /// `table[slot(mix)]` is the database's estimate of `mix` over
+    /// `MixVector::space(os_bounds)`; empty when the space exceeds
+    /// [`DbModel::MAX_TABLE_LEN`].
+    table: Vec<Option<MixEstimate>>,
 }
 
 impl DbModel {
-    /// Wrap a built database.
+    /// Largest bounds space tabulated (the paper's is 440 mixes); a
+    /// database with larger bounds answers every query by search.
+    const MAX_TABLE_LEN: usize = 1 << 16;
+
+    /// Wrap a built database, tabulating its in-box estimates.
     pub fn new(db: ModelDatabase) -> Self {
-        DbModel { db }
+        let bounds = db.aux().os_bounds;
+        let len = [bounds.cpu, bounds.mem, bounds.io]
+            .iter()
+            .try_fold(1usize, |n, &b| n.checked_mul(b as usize + 1));
+        let table = match len {
+            Some(len) if len <= Self::MAX_TABLE_LEN => MixVector::space(bounds)
+                .map(|mix| db.estimate(mix).ok().map(MixEstimate::from))
+                .collect(),
+            _ => Vec::new(),
+        };
+        DbModel { db, table }
     }
 
     /// Access the underlying database.
     pub fn database(&self) -> &ModelDatabase {
         &self.db
     }
+
+    /// Position of an in-box mix in the table, in `MixVector::space`
+    /// order.
+    #[inline]
+    fn slot(&self, mix: MixVector) -> Option<usize> {
+        let b = self.db.aux().os_bounds;
+        if !mix.fits_within(&b) {
+            return None;
+        }
+        Some(
+            ((mix.cpu as usize * (b.mem as usize + 1) + mix.mem as usize) * (b.io as usize + 1))
+                + mix.io as usize,
+        )
+    }
+
+    /// The database's estimate of `mix`, from the table when tabulated.
+    #[inline]
+    fn lookup(&self, mix: MixVector) -> Result<MixEstimate, EavmError> {
+        if let Some(Some(est)) = self.slot(mix).and_then(|i| self.table.get(i)) {
+            return Ok(*est);
+        }
+        self.db.estimate(mix).map(MixEstimate::from)
+    }
+}
+
+impl From<Estimate> for MixEstimate {
+    fn from(est: Estimate) -> Self {
+        MixEstimate {
+            per_type_time: est.per_type_time,
+            energy: est.energy,
+        }
+    }
 }
 
 impl AllocationModel for DbModel {
     fn exec_time(&self, mix: MixVector, ty: WorkloadType) -> Result<Seconds, EavmError> {
-        let est = self.db.estimate(mix)?;
+        let est = self.lookup(mix)?;
         est.time_of(ty)
             .ok_or_else(|| EavmError::ModelMiss(format!("type {ty} absent from mix {mix}")))
     }
 
     fn estimate_mix(&self, mix: MixVector) -> Result<MixEstimate, EavmError> {
-        let est = self.db.estimate(mix)?;
-        Ok(MixEstimate {
-            per_type_time: est.per_type_time,
-            energy: est.energy,
-        })
+        self.lookup(mix)
     }
 
     fn power(&self, mix: MixVector) -> Result<Watts, EavmError> {
@@ -188,7 +241,7 @@ impl AllocationModel for DbModel {
         if mix.is_empty() {
             return Ok(Joules::ZERO);
         }
-        Ok(self.db.estimate(mix)?.energy)
+        Ok(self.lookup(mix)?.energy)
     }
 
     fn solo_time(&self, ty: WorkloadType) -> Seconds {
@@ -345,6 +398,48 @@ mod tests {
                 m.solo_time(ty)
             );
             assert!((m.slowdown(MixVector::single(ty, 1), ty).unwrap() - 1.0).abs() < 1e-6);
+        }
+    }
+
+    /// A lookup outcome reduced to bits, so `-0.0`/`0.0` or NaN
+    /// payloads cannot hide a difference.
+    fn outcome_bits(r: Result<MixEstimate, EavmError>) -> Result<([Option<u64>; 3], u64), String> {
+        r.map(|est| {
+            (
+                est.per_type_time.map(|t| t.map(|t| t.value().to_bits())),
+                est.energy.value().to_bits(),
+            )
+        })
+        .map_err(|e| format!("{e:?}"))
+    }
+
+    #[test]
+    fn table_answers_match_the_database_bit_for_bit() {
+        for builder in [DbBuilder::exact(), DbBuilder::default()] {
+            let m = DbModel::new(builder.build().unwrap());
+            let bounds = m.max_mix();
+            let space = MixVector::space(bounds).count();
+            assert_eq!(m.table.len(), space, "the whole bounds box is tabulated");
+            for mix in MixVector::space(bounds) {
+                let direct = m.database().estimate(mix).map(MixEstimate::from);
+                assert_eq!(
+                    outcome_bits(m.estimate_mix(mix)),
+                    outcome_bits(direct),
+                    "{mix}"
+                );
+            }
+            // The empty mix's error comes from the database itself.
+            assert!(m.table[0].is_none());
+            assert!(m.estimate_mix(MixVector::EMPTY).is_err());
+            // Out-of-box queries go straight to the database.
+            for mix in [
+                MixVector::single(WorkloadType::Cpu, bounds.cpu + 5),
+                MixVector::new(bounds.cpu + 1, 1, 0),
+                MixVector::new(bounds.cpu, bounds.mem, bounds.io + 1),
+            ] {
+                let direct = m.database().estimate(mix).map(MixEstimate::from);
+                assert_eq!(outcome_bits(m.estimate_mix(mix)), outcome_bits(direct));
+            }
         }
     }
 

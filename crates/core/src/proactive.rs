@@ -28,7 +28,7 @@ use eavm_telemetry::Counter;
 use eavm_types::{EavmError, Joules, MixVector, Seconds, WorkloadType};
 
 use crate::goal::OptimizationGoal;
-use crate::model::AllocationModel;
+use crate::model::{AllocationModel, MixEstimate};
 use crate::strategy::{AllocationStrategy, Placement, RequestView, ServerView};
 
 /// Caps bounding the brute-force search.
@@ -79,7 +79,7 @@ struct Candidate {
 
 /// One explained partition candidate: the Fig. 3 "rank" step's working
 /// data, exposed for inspection and the `fig3_flow` experiment binary.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PartitionCandidate {
     /// The partition's blocks (per-type VM counts).
     pub blocks: Vec<MixVector>,
@@ -191,37 +191,59 @@ impl<M: AllocationModel> Proactive<M> {
         self.goal
     }
 
-    /// Check hostability + QoS of a tentative mix on a given platform.
-    fn feasible(&self, mix: MixVector, platform: u32) -> bool {
+    /// Check hostability + QoS of a tentative mix on a given platform,
+    /// returning the estimate the check read. Scoring uses that same
+    /// estimate, so each candidate costs one model lookup and the QoS
+    /// verdict and the score can never come from different lookups.
+    fn feasible(&self, mix: MixVector, platform: u32) -> Option<MixEstimate> {
         let model = self.model_for(platform);
         if !mix.fits_within(&model.max_mix()) {
-            return false;
+            return None;
         }
-        if !self.enforce_qos {
-            return true;
-        }
-        match model.estimate_mix(mix) {
-            Ok(est) => WorkloadType::ALL
+        let est = model.estimate_mix(mix).ok()?;
+        let within_qos = !self.enforce_qos
+            || WorkloadType::ALL
                 .into_iter()
                 .all(|ty| match est.time_of(ty) {
                     Some(t) => t <= self.deadlines[ty.index()] * self.qos_margin,
                     None => true,
-                }),
-            Err(_) => false,
-        }
+                });
+        within_qos.then_some(est)
+    }
+
+    /// Run energy of every server's resident mix (zero when empty;
+    /// `None` when the model cannot estimate it). Computed once per
+    /// search; each partition then tracks its own tentative copy.
+    fn resident_energies(&self, servers: &[ServerView]) -> Vec<Option<Joules>> {
+        servers
+            .iter()
+            .map(|s| {
+                if s.mix.is_empty() {
+                    Some(Joules::ZERO)
+                } else {
+                    let model = self.model_for(s.platform);
+                    model.estimate_mix(s.mix).ok().map(|est| est.energy)
+                }
+            })
+            .collect()
     }
 
     /// Place the blocks of one partition greedily, returning the scored
-    /// candidate if every block fits. `pruned` accumulates the per-block
-    /// server candidates rejected by hostability/QoS.
+    /// candidate if every block fits. `resident` holds each server's
+    /// resident run energy (see [`Self::resident_energies`]). `pruned`
+    /// accumulates the per-block server candidates rejected by
+    /// hostability/QoS.
     fn place_partition(
         &self,
         blocks: &[MixVector],
         servers: &[ServerView],
+        resident: &[Option<Joules>],
         pruned: &mut u64,
     ) -> Option<Candidate> {
-        // Tentative per-server mixes, updated as blocks commit.
+        // Tentative per-server mixes and run energies, updated as blocks
+        // commit.
         let mut mixes: Vec<MixVector> = servers.iter().map(|s| s.mix).collect();
+        let mut energies = resident.to_vec();
         let mut adds: Vec<MixVector> = vec![MixVector::EMPTY; servers.len()];
         let mut energy = Joules::ZERO;
         let mut time = Seconds::ZERO;
@@ -232,7 +254,7 @@ impl<M: AllocationModel> Proactive<M> {
             // platform* — empty servers of one platform are
             // interchangeable, and the paper breaks ties by "the first
             // server of the list".
-            let mut best: Option<(usize, Joules, Seconds)> = None;
+            let mut best: Option<(usize, Joules, Seconds, Joules)> = None;
             let mut candidates: Vec<usize> = Vec::with_capacity(servers.len());
             let mut empty_seen: Vec<u32> = Vec::new();
             for (i, m) in mixes.iter().enumerate() {
@@ -248,24 +270,12 @@ impl<M: AllocationModel> Proactive<M> {
             }
 
             for i in candidates {
-                let platform = servers[i].platform;
-                let model = self.model_for(platform);
-                let new_mix = mixes[i] + *block;
-                if !self.feasible(new_mix, platform) {
-                    *pruned += 1;
-                    continue;
-                }
-                let Ok(new_est) = model.estimate_mix(new_mix) else {
+                let Some(new_est) = self.feasible(mixes[i] + *block, servers[i].platform) else {
                     *pruned += 1;
                     continue;
                 };
-                let old_energy = if mixes[i].is_empty() {
-                    Joules::ZERO
-                } else {
-                    match model.run_energy(mixes[i]) {
-                        Ok(e) => e,
-                        Err(_) => continue,
-                    }
+                let Some(old_energy) = energies[i] else {
+                    continue;
                 };
                 let d_energy = (new_est.energy - old_energy).max(Joules::ZERO);
                 // The block's VMs share the request's profile(s); the
@@ -278,7 +288,7 @@ impl<M: AllocationModel> Proactive<M> {
 
                 let better = match &best {
                     None => true,
-                    Some((_, be, bt)) => {
+                    Some((_, be, bt, _)) => {
                         // Per-block ranking under the goal, normalized by
                         // the incumbent; strict improvement required so
                         // ties keep the earliest server.
@@ -288,13 +298,14 @@ impl<M: AllocationModel> Proactive<M> {
                     }
                 };
                 if better {
-                    best = Some((i, d_energy, block_time));
+                    best = Some((i, d_energy, block_time, new_est.energy));
                 }
             }
 
-            let (i, d_energy, block_time) = best?;
+            let (i, d_energy, block_time, new_energy) = best?;
             mixes[i] += *block;
             adds[i] += *block;
+            energies[i] = Some(new_energy);
             energy += d_energy;
             time = time.max(block_time);
         }
@@ -357,6 +368,7 @@ impl<M: AllocationModel> Proactive<M> {
             )));
         }
 
+        let resident = self.resident_energies(servers);
         let mut min_energy = f64::INFINITY;
         let mut min_time = f64::INFINITY;
         let mut scored: Vec<(Vec<MixVector>, Candidate)> = Vec::new();
@@ -366,7 +378,7 @@ impl<M: AllocationModel> Proactive<M> {
         for part in parts {
             evaluated += 1;
             let blocks: Vec<MixVector> = part.iter().map(|b| block_to_mix(b)).collect();
-            if let Some(c) = self.place_partition(&blocks, servers, &mut pruned) {
+            if let Some(c) = self.place_partition(&blocks, servers, &resident, &mut pruned) {
                 min_energy = min_energy.min(c.energy.value());
                 min_time = min_time.min(c.time.value());
                 scored.push((blocks, c));
@@ -678,6 +690,165 @@ mod tests {
                 .unwrap(),
             pa.allocate(&req(WorkloadType::Cpu, 4), &servers).unwrap()
         );
+    }
+
+    /// Counts the lookups a search makes, by method.
+    struct Counting {
+        inner: DbModel,
+        estimates: std::cell::Cell<u64>,
+        other: std::cell::Cell<u64>,
+    }
+
+    impl Counting {
+        fn new() -> Self {
+            Counting {
+                inner: model(),
+                estimates: Default::default(),
+                other: Default::default(),
+            }
+        }
+
+        fn bump(cell: &std::cell::Cell<u64>) {
+            cell.set(cell.get() + 1);
+        }
+    }
+
+    impl AllocationModel for Counting {
+        fn exec_time(&self, mix: MixVector, ty: WorkloadType) -> Result<Seconds, EavmError> {
+            Self::bump(&self.other);
+            self.inner.exec_time(mix, ty)
+        }
+        fn power(&self, mix: MixVector) -> Result<eavm_types::Watts, EavmError> {
+            Self::bump(&self.other);
+            self.inner.power(mix)
+        }
+        fn run_energy(&self, mix: MixVector) -> Result<Joules, EavmError> {
+            Self::bump(&self.other);
+            self.inner.run_energy(mix)
+        }
+        fn estimate_mix(&self, mix: MixVector) -> Result<MixEstimate, EavmError> {
+            Self::bump(&self.estimates);
+            self.inner.estimate_mix(mix)
+        }
+        fn solo_time(&self, ty: WorkloadType) -> Seconds {
+            self.inner.solo_time(ty)
+        }
+        fn max_mix(&self) -> MixVector {
+            self.inner.max_mix()
+        }
+    }
+
+    #[test]
+    fn search_makes_one_lookup_per_candidate_and_per_resident_server() {
+        let bounds = model().max_mix();
+        let pa = Proactive::new(Counting::new(), OptimizationGoal::BALANCED, deadlines());
+        let count = |pa: &Proactive<Counting>| {
+            let m = pa.model();
+            (m.estimates.replace(0), m.other.replace(0))
+        };
+
+        // No empty servers: every block sees the same four candidates, of
+        // which the full server fails the hostable bound. 2 CPU VMs split
+        // as {2} and {1,1}: 3 blocks x 3 hostable candidates, plus one
+        // resident lookup for each of the 4 non-empty servers.
+        let servers = vec![
+            ServerView::homogeneous(ServerId::new(0), MixVector::new(1, 0, 0)),
+            ServerView::homogeneous(ServerId::new(1), MixVector::new(1, 0, 0)),
+            ServerView::homogeneous(ServerId::new(2), MixVector::new(0, 1, 0)),
+            ServerView::homogeneous(ServerId::new(3), MixVector::new(bounds.cpu, 0, 0)),
+        ];
+        let c = pa.explain(&req(WorkloadType::Cpu, 2), &servers).unwrap();
+        assert_eq!(c.len(), 2, "both partitions place");
+        assert_eq!(count(&pa), (3 * 3 + 4, 0));
+
+        // Empty servers: only the first one is a candidate. One Mem VM is
+        // one block over 3 candidates, plus 2 resident lookups.
+        let servers = vec![
+            ServerView::homogeneous(ServerId::new(0), MixVector::EMPTY),
+            ServerView::homogeneous(ServerId::new(1), MixVector::new(2, 0, 0)),
+            ServerView::homogeneous(ServerId::new(2), MixVector::EMPTY),
+            ServerView::homogeneous(ServerId::new(3), MixVector::new(0, 0, 1)),
+        ];
+        pa.explain(&req(WorkloadType::Mem, 1), &servers).unwrap();
+        assert_eq!(count(&pa), (3 + 2, 0));
+        // Resident energies are per search, not cached across searches.
+        pa.explain(&req(WorkloadType::Mem, 1), &servers).unwrap();
+        assert_eq!(count(&pa), (3 + 2, 0));
+    }
+
+    /// Answers even-numbered lookups from the database and odd-numbered
+    /// ones from the analytic model, as `ResilientModel` does when every
+    /// other lookup faults; records every answer it gives.
+    struct Alternating {
+        primary: DbModel,
+        fallback: crate::model::AnalyticModel,
+        answers: std::cell::RefCell<Vec<MixEstimate>>,
+    }
+
+    impl AllocationModel for Alternating {
+        fn exec_time(&self, mix: MixVector, ty: WorkloadType) -> Result<Seconds, EavmError> {
+            self.estimate_mix(mix)?
+                .time_of(ty)
+                .ok_or_else(|| EavmError::ModelMiss(format!("{ty} absent")))
+        }
+        fn power(&self, mix: MixVector) -> Result<eavm_types::Watts, EavmError> {
+            self.primary.power(mix)
+        }
+        fn run_energy(&self, mix: MixVector) -> Result<Joules, EavmError> {
+            Ok(self.estimate_mix(mix)?.energy)
+        }
+        fn estimate_mix(&self, mix: MixVector) -> Result<MixEstimate, EavmError> {
+            let mut answers = self.answers.borrow_mut();
+            let est = if answers.len().is_multiple_of(2) {
+                self.primary.estimate_mix(mix)?
+            } else {
+                self.fallback.estimate_mix(mix)?
+            };
+            answers.push(est);
+            Ok(est)
+        }
+        fn solo_time(&self, ty: WorkloadType) -> Seconds {
+            self.primary.solo_time(ty)
+        }
+        fn max_mix(&self) -> MixVector {
+            self.primary.max_mix()
+        }
+    }
+
+    #[test]
+    fn placement_is_scored_on_the_estimate_that_passed_feasibility() {
+        let alternating = Alternating {
+            primary: model(),
+            fallback: crate::model::AnalyticModel::reference(),
+            answers: Default::default(),
+        };
+        let pa = Proactive::new(alternating, OptimizationGoal::BALANCED, deadlines());
+        // One VM, one empty server: one candidate, no resident lookup.
+        let c = pa
+            .explain(&req(WorkloadType::Cpu, 1), &empty_servers(1))
+            .unwrap();
+        let answers = pa.model().answers.borrow();
+        assert_eq!(answers.len(), 1, "one lookup for the one candidate");
+        assert_eq!(c.len(), 1);
+        assert_eq!(c[0].energy, answers[0].energy);
+        assert_eq!(Some(c[0].time), answers[0].time_of(WorkloadType::Cpu));
+        drop(answers);
+
+        // Over a mixed fleet, whichever model answered, the time each
+        // candidate is scored on is one that passed the QoS check.
+        let deadline = deadlines()[WorkloadType::Cpu.index()] * 0.65;
+        let pa = pa.with_qos_margin(0.65);
+        let servers = vec![
+            ServerView::homogeneous(ServerId::new(0), MixVector::new(3, 0, 0)),
+            ServerView::homogeneous(ServerId::new(1), MixVector::new(1, 1, 0)),
+            ServerView::homogeneous(ServerId::new(2), MixVector::new(0, 2, 1)),
+            ServerView::homogeneous(ServerId::new(3), MixVector::EMPTY),
+        ];
+        for n in 1..=4 {
+            for c in pa.explain(&req(WorkloadType::Cpu, n), &servers).unwrap() {
+                assert!(c.time <= deadline, "{n} VMs: {} > {deadline}", c.time);
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,9 @@ use eavm_benchdb::{DbBuilder, ModelDatabase};
 use eavm_core::strategy::{RequestView, ServerView};
 use eavm_core::{AllocationStrategy, DbModel, OptimizationGoal, Proactive};
 use eavm_faults::{FaultConfig, FaultPlan, LookupFaults};
-use eavm_partitions::{multiset_partitions, multiset_partitions_capped, SetPartitions};
+use eavm_partitions::{
+    for_each_multiset_partition, multiset_partitions, multiset_partitions_capped, SetPartitions,
+};
 use eavm_testbed::{ApplicationProfile, RunSimulator};
 use eavm_types::{JobId, MixVector, Seconds, ServerId, WorkloadType};
 
@@ -25,6 +27,22 @@ fn bench_partitions(c: &mut Criterion) {
         // A full burst: 5 jobs x 4 VMs across 3 types, block size <= 10,
         // bounded at the allocator's real search cap (4096 partitions).
         b.iter(|| multiset_partitions_capped(black_box(&[8, 6, 6]), 10, 4_096).len())
+    });
+    // The allocator's path: the same enumerations through the visitor,
+    // which hands each partition over as a borrowed slice.
+    c.bench_function("multiset_visitor_4_identical", |b| {
+        b.iter(|| {
+            for_each_multiset_partition(black_box(&[4, 0, 0]), u32::MAX, usize::MAX, |p| {
+                black_box(p);
+            })
+        })
+    });
+    c.bench_function("multiset_visitor_burst_20_capped", |b| {
+        b.iter(|| {
+            for_each_multiset_partition(black_box(&[8, 6, 6]), 10, 4_096, |p| {
+                black_box(p);
+            })
+        })
     });
 }
 
@@ -91,51 +109,6 @@ fn bench_proactive_decision(c: &mut Criterion) {
                 .unwrap()
         })
     });
-}
-
-fn bench_memoized_search(c: &mut Criterion) {
-    // The same partition-search scoring workload with and without the
-    // service's LRU memoization layer in front of the DbModel: every
-    // candidate block re-evaluates `(resident mix + pending block)`
-    // keys, so a warm cache should shortcut most model lookups.
-    let deadlines = [Seconds(3600.0), Seconds(3000.0), Seconds(2700.0)];
-    let servers = mid_load_fleet();
-    let request = cpu_request(deadlines[0]);
-    let mut group = c.benchmark_group("partition_search");
-    let mut plain = Proactive::new(
-        DbModel::new(database()),
-        OptimizationGoal::BALANCED,
-        deadlines,
-    )
-    .with_qos_margin(0.65);
-    group.bench_function("unmemoized", |b| {
-        b.iter(|| {
-            plain
-                .allocate(black_box(&request), black_box(&servers))
-                .unwrap()
-        })
-    });
-    let mut memoized = Proactive::new(
-        eavm_service::MemoModel::new(DbModel::new(database()), 4_096),
-        OptimizationGoal::BALANCED,
-        deadlines,
-    )
-    .with_qos_margin(0.65);
-    group.bench_function("memoized", |b| {
-        b.iter(|| {
-            memoized
-                .allocate(black_box(&request), black_box(&servers))
-                .unwrap()
-        })
-    });
-    group.finish();
-    let stats = memoized.model().cache_stats();
-    println!(
-        "#   memoized search cache: hits={} misses={} hit-rate={:.1}%",
-        stats.hits,
-        stats.misses,
-        100.0 * stats.hit_rate()
-    );
 }
 
 fn bench_runsim(c: &mut Criterion) {
@@ -420,7 +393,6 @@ criterion_group!(
     bench_partitions,
     bench_database,
     bench_proactive_decision,
-    bench_memoized_search,
     bench_runsim,
     bench_end_to_end,
     bench_learned_model,

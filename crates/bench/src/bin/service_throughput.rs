@@ -4,7 +4,7 @@
 //! For each shard count the full adapted trace is replayed through a
 //! live [`eavm_service::AllocService`] (bounded admission, batched
 //! fast-path dispatch, cross-shard two-phase slow path) and the wall
-//! time, request throughput, memoization hit-rate, and admission
+//! time, request throughput, model-table hit rate, and admission
 //! breakdown are reported. Usage:
 //!
 //! ```text
@@ -45,7 +45,7 @@ fn main() {
         "wall_s",
         "req/s",
         "eff%",
-        "hit_rate%",
+        "table_hit%",
         "local",
         "cross",
         "shed",

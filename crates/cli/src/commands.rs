@@ -67,7 +67,7 @@ USAGE:
                        [--fault-seed N] [--fault-rate F]
   eavm-cli serve       --db-dir DIR --trace FILE --servers N [--shards N]
                        [--vms N] [--seed N] [--qos F] [--margin F] [--alpha F]
-                       [--queue N] [--cache N]
+                       [--queue N]
                        [--consolidate-every SECS] [--drain-threshold N]
                        [--overload] [--overload-cut F] [--limit-max N]
                        [--queue-target SECS] [--queue-interval SECS]
@@ -83,7 +83,7 @@ USAGE:
                        [--metrics-out FILE] [--metrics-format prometheus|json]
   eavm-cli recover     --db-dir DIR --trace FILE --servers N --journal-dir DIR
                        [--shards N] [--vms N] [--seed N] [--qos F] [--margin F]
-                       [--alpha F] [--queue N] [--cache N] [--checkpoint-every N]
+                       [--alpha F] [--queue N] [--checkpoint-every N]
                        [--consolidate-every SECS] [--drain-threshold N]
                        [--overload] [--overload-cut F] [--limit-max N]
                        [--queue-target SECS] [--queue-interval SECS]
@@ -94,7 +94,7 @@ USAGE:
                        --kind snapshot-bit-flip|wal-torn-tail|wal-zero-run
   eavm-cli replay-online --db-dir DIR --trace FILE --servers N
                        [--vms N] [--seed N] [--qos F] [--margin F] [--alpha F]
-                       [--cache N] [--fault-seed N] [--fault-rate F]
+                       [--fault-seed N] [--fault-rate F]
                        [--metrics-out FILE] [--metrics-format prometheus|json]
   eavm-cli scenario check FILE
   eavm-cli scenario run FILE [--db-dir DIR] [--threads N] [--out FILE]
@@ -379,7 +379,8 @@ fn simulate(args: &Args) -> Result<String, String> {
     Ok(output)
 }
 
-/// The one cache-counters line shared by `serve` and `replay-online`.
+/// The one model-table counters line shared by `serve` and
+/// `replay-online`.
 fn render_cache(cache: &CacheStats) -> String {
     format!(
         "cache: hits={} misses={} evictions={} hit-rate={:.1}%\n",
@@ -531,7 +532,6 @@ fn service_config(
     let mut config =
         eavm_service::ServiceConfig::new(shards, servers).with_telemetry(Arc::clone(telemetry));
     config.queue_capacity = args.get_or("queue", 1024)?;
-    config.cache_capacity = args.get_or("cache", 4096)?;
     config.goal = OptimizationGoal::new(alpha).map_err(|e| e.to_string())?;
     config.deadlines = deadlines;
     config.qos_margin = margin;
@@ -981,9 +981,9 @@ fn corrupt_cmd(args: &Args) -> Result<String, String> {
 }
 
 /// Replay the trace through the deterministic single-thread service
-/// mode: the simulator's virtual clock drives the memoized allocator,
+/// mode: the simulator's virtual clock drives the service's allocator,
 /// so output equals `simulate --strategy pa:<alpha>` exactly, plus the
-/// allocator-side cache counters.
+/// allocator's model-table counters.
 fn replay_online_cmd(args: &Args) -> Result<String, String> {
     let servers: usize = args.get_required("servers")?;
     let margin: f64 = args.get_or("margin", 0.65)?;
@@ -995,7 +995,6 @@ fn replay_online_cmd(args: &Args) -> Result<String, String> {
     let mut config = eavm_service::DeterministicConfig::new(goal, deadlines)
         .with_telemetry(Arc::clone(&telemetry));
     config.qos_margin = margin;
-    config.cache_capacity = args.get_or("cache", 4096)?;
     let chaos = fault_plan(args, servers, &requests)?;
     if let Some((_, _, plan)) = &chaos {
         config = config.with_faults(plan.clone());
@@ -1361,8 +1360,9 @@ mod tests {
         assert!(json.contains("\"replay.cache.hits\""), "{json}");
         assert!(json.contains("\"sim.vms_placed\""), "{json}");
 
-        // Deterministic mode is the PROACTIVE simulation with a cache in
-        // front: the rendered outcome rows must match `simulate` exactly.
+        // Deterministic mode is the PROACTIVE simulation through the
+        // service's allocator: the rendered outcome rows must match
+        // `simulate` exactly.
         let sim_out = run(&[
             "simulate",
             "--db-dir",

@@ -15,6 +15,8 @@
 //!   executes, so allocator-model error propagates realistically into
 //!   the results.
 
+use std::cell::Cell;
+
 use eavm_benchdb::{Estimate, ModelDatabase};
 use eavm_testbed::{ApplicationProfile, BenchmarkSuite, ContentionModel, PowerModel, ServerSpec};
 use eavm_types::{EavmError, Joules, MixVector, Seconds, Watts, WorkloadType};
@@ -43,52 +45,6 @@ impl MixEstimate {
             .flatten()
             .copied()
             .fold(Seconds::ZERO, Seconds::max)
-    }
-}
-
-/// Canonical, hashable key for one model lookup: the full mix a server
-/// would host (resident VMs plus the pending block under evaluation).
-///
-/// The partition search evaluates the same joined mixes over and over —
-/// across candidate servers, partitions, and requests — so callers
-/// layering a memoization cache in front of [`AllocationModel::
-/// estimate_mix`] (e.g. `eavm-service`'s `MemoModel`) key it on this.
-/// Packing the three counts into one `u64` keeps the key `Copy`,
-/// order-preserving, and cheap to hash.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct MixKey(u64);
-
-impl MixKey {
-    /// Key of a mix as-is.
-    #[inline]
-    pub fn of(mix: MixVector) -> Self {
-        MixKey(((mix.cpu as u64) << 42) | ((mix.mem as u64) << 21) | mix.io as u64)
-    }
-
-    /// Key of the mix a server would host after a pending block joins the
-    /// resident VMs — the canonical "resident-mix + pending-block" form.
-    /// Panics (debug) if a count overflows the 21-bit per-type field; the
-    /// OS bounds cap real mixes far below that.
-    #[inline]
-    pub fn compose(resident: MixVector, pending: MixVector) -> Self {
-        let joined = resident + pending;
-        debug_assert!(
-            joined.cpu < (1 << 21) && joined.mem < (1 << 21) && joined.io < (1 << 21),
-            "mix count overflows the key field"
-        );
-        Self::of(joined)
-    }
-
-    /// The packed representation.
-    #[inline]
-    pub fn raw(&self) -> u64 {
-        self.0
-    }
-}
-
-impl From<MixVector> for MixKey {
-    fn from(mix: MixVector) -> Self {
-        Self::of(mix)
     }
 }
 
@@ -150,6 +106,11 @@ pub trait AllocationModel {
 /// single source of truth and an in-box query costs index arithmetic
 /// plus a load. Mixes outside the bounds, and in-box mixes the database
 /// cannot estimate (the empty mix), go to the database directly.
+///
+/// The model counts its table hits and database misses in plain cells
+/// (no atomics, no hashing); [`DbModel::take_lookup_counts`] drains
+/// them. The cells make the model `Send` but not `Sync`: each thread
+/// owns its own copy.
 #[derive(Debug, Clone)]
 pub struct DbModel {
     db: ModelDatabase,
@@ -157,6 +118,10 @@ pub struct DbModel {
     /// `MixVector::space(os_bounds)`; empty when the space exceeds
     /// [`DbModel::MAX_TABLE_LEN`].
     table: Vec<Option<MixEstimate>>,
+    /// Lookups answered from the table since the last drain.
+    hits: Cell<u64>,
+    /// Lookups that went to the database since the last drain.
+    misses: Cell<u64>,
 }
 
 impl DbModel {
@@ -176,12 +141,30 @@ impl DbModel {
                 .collect(),
             _ => Vec::new(),
         };
-        DbModel { db, table }
+        DbModel {
+            db,
+            table,
+            hits: Cell::new(0),
+            misses: Cell::new(0),
+        }
     }
 
     /// Access the underlying database.
     pub fn database(&self) -> &ModelDatabase {
         &self.db
+    }
+
+    /// Entries in the lookup table (0 when the bounds were too large to
+    /// tabulate).
+    pub fn table_len(&self) -> usize {
+        self.table.len()
+    }
+
+    /// `(hits, misses)` of the `estimate_mix`/`exec_time`/`run_energy`
+    /// lookups since the previous call, which resets both: hits were
+    /// answered by the table, misses went to the database.
+    pub fn take_lookup_counts(&self) -> (u64, u64) {
+        (self.hits.take(), self.misses.take())
     }
 
     /// Position of an in-box mix in the table, in `MixVector::space`
@@ -202,8 +185,10 @@ impl DbModel {
     #[inline]
     fn lookup(&self, mix: MixVector) -> Result<MixEstimate, EavmError> {
         if let Some(Some(est)) = self.slot(mix).and_then(|i| self.table.get(i)) {
+            self.hits.set(self.hits.get() + 1);
             return Ok(*est);
         }
+        self.misses.set(self.misses.get() + 1);
         self.db.estimate(mix).map(MixEstimate::from)
     }
 }
@@ -444,6 +429,26 @@ mod tests {
     }
 
     #[test]
+    fn lookup_counts_split_table_hits_from_database_misses() {
+        let m = db_model();
+        let bounds = m.max_mix();
+        m.estimate_mix(MixVector::new(2, 1, 0)).unwrap();
+        m.exec_time(MixVector::new(1, 0, 0), WorkloadType::Cpu)
+            .unwrap();
+        m.run_energy(MixVector::new(0, 1, 1)).unwrap();
+        // The empty mix has no table entry; out-of-box mixes have no slot.
+        assert!(m.estimate_mix(MixVector::EMPTY).is_err());
+        m.estimate_mix(MixVector::new(bounds.cpu + 1, 0, 0)).ok();
+        // Neither path counts: idle energy is a constant, power is not a
+        // table lookup.
+        m.run_energy(MixVector::EMPTY).unwrap();
+        m.power(MixVector::new(1, 0, 0)).unwrap();
+        assert_eq!(m.take_lookup_counts(), (3, 2));
+        assert_eq!(m.take_lookup_counts(), (0, 0), "taking resets");
+        assert_eq!(m.table_len(), MixVector::space(bounds).count());
+    }
+
+    #[test]
     fn db_model_empty_mix_power_is_idle() {
         let m = db_model();
         assert_eq!(m.power(MixVector::EMPTY).unwrap(), Watts(125.0));
@@ -512,26 +517,6 @@ mod tests {
         assert_eq!(d.max_mix(), d.database().aux().os_bounds);
         let a = AnalyticModel::reference();
         assert_eq!(a.max_mix(), MixVector::new(16, 16, 16));
-    }
-
-    #[test]
-    fn mix_keys_are_injective_and_compose() {
-        use std::collections::HashSet;
-        let bounds = MixVector::new(12, 12, 12);
-        let mut seen = HashSet::new();
-        for mix in MixVector::space(bounds) {
-            assert!(seen.insert(MixKey::of(mix)), "key collision at {mix}");
-        }
-        let resident = MixVector::new(3, 1, 0);
-        let block = MixVector::new(1, 0, 2);
-        assert_eq!(
-            MixKey::compose(resident, block),
-            MixKey::of(resident + block)
-        );
-        assert_eq!(MixKey::from(resident), MixKey::of(resident));
-        // Ordering matches the database's sort key.
-        assert!(MixKey::of(MixVector::new(1, 0, 0)) < MixKey::of(MixVector::new(1, 0, 1)));
-        assert!(MixKey::of(MixVector::new(1, 2, 0)) < MixKey::of(MixVector::new(2, 0, 0)));
     }
 
     #[test]

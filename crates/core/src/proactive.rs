@@ -23,7 +23,7 @@
 //! Returning [`EavmError::Infeasible`] (no partition places) tells the
 //! simulator to queue the request, exactly like a saturated cloud.
 
-use eavm_partitions::multiset_partitions_capped;
+use eavm_partitions::for_each_multiset_partition;
 use eavm_telemetry::Counter;
 use eavm_types::{EavmError, Joules, MixVector, Seconds, WorkloadType};
 
@@ -372,18 +372,20 @@ impl<M: AllocationModel> Proactive<M> {
         let mut min_energy = f64::INFINITY;
         let mut min_time = f64::INFINITY;
         let mut scored: Vec<(Vec<MixVector>, Candidate)> = Vec::new();
-        let parts = multiset_partitions_capped(&counts, max_block, self.caps.max_partitions);
-        let mut evaluated = 0u64;
         let mut pruned = 0u64;
-        for part in parts {
-            evaluated += 1;
-            let blocks: Vec<MixVector> = part.iter().map(|b| block_to_mix(b)).collect();
-            if let Some(c) = self.place_partition(&blocks, servers, &resident, &mut pruned) {
-                min_energy = min_energy.min(c.energy.value());
-                min_time = min_time.min(c.time.value());
-                scored.push((blocks, c));
-            }
-        }
+        // One block buffer for the whole search; only partitions that
+        // place keep an owned copy of their blocks.
+        let mut blocks: Vec<MixVector> = Vec::new();
+        let evaluated =
+            for_each_multiset_partition(&counts, max_block, self.caps.max_partitions, |flat| {
+                blocks.clear();
+                blocks.extend(flat.chunks_exact(3).map(block_to_mix));
+                if let Some(c) = self.place_partition(&blocks, servers, &resident, &mut pruned) {
+                    min_energy = min_energy.min(c.energy.value());
+                    min_time = min_time.min(c.time.value());
+                    scored.push((blocks.clone(), c));
+                }
+            }) as u64;
         // One flush per search keeps the hot loop free of atomics.
         let m = &self.metrics;
         m.searches.add_on(m.stripe, 1);

@@ -2,8 +2,8 @@
 //! the analytic estimate instead of failing the allocation.
 //!
 //! [`ResilientModel`] sits between a strategy and its primary
-//! [`AllocationModel`] (typically the empirical database, possibly
-//! behind a memoization layer). Under normal operation it is a
+//! [`AllocationModel`] (typically the empirical database). Under normal
+//! operation it is a
 //! transparent pass-through. When an injected [`LookupFaults`] predicate
 //! declares a lookup transiently failed — simulating a database shard
 //! timeout or a dropped RPC — the wrapper answers from its analytic

@@ -30,5 +30,7 @@ pub mod multiset;
 pub mod rgs;
 
 pub use counting::{bell_number, stirling2};
-pub use multiset::{multiset_partitions, multiset_partitions_capped, MultisetPart};
+pub use multiset::{
+    for_each_multiset_partition, multiset_partitions, multiset_partitions_capped, MultisetPart,
+};
 pub use rgs::{BoundedPartitions, Partition, SetPartitions};

@@ -35,86 +35,138 @@ pub fn multiset_partitions(counts: &[u32], max_block_total: u32) -> Vec<Multiset
 /// partitions have been emitted — the enumeration cost is bounded by the
 /// cap instead of the (potentially astronomic) full count. The emitted
 /// prefix is identical to the first `max_parts` entries of the unbounded
-/// enumeration.
+/// enumeration. A collector over [`for_each_multiset_partition`].
 pub fn multiset_partitions_capped(
     counts: &[u32],
     max_block_total: u32,
     max_parts: usize,
 ) -> Vec<MultisetPart> {
-    let total: u32 = counts.iter().sum();
-    if total == 0 || max_parts == 0 {
-        return Vec::new();
-    }
     let mut out = Vec::new();
-    let mut acc: MultisetPart = Vec::new();
-    // The first block may be anything up to the whole remaining multiset.
-    let roof = counts.to_vec();
-    recurse(
-        counts.to_vec(),
-        &roof,
-        max_block_total,
-        max_parts,
-        &mut acc,
-        &mut out,
-    );
+    for_each_multiset_partition(counts, max_block_total, max_parts, |blocks| {
+        out.push(
+            blocks
+                .chunks_exact(counts.len())
+                .map(<[u32]>::to_vec)
+                .collect(),
+        );
+    });
     out
 }
 
-/// Recursive core: pick the next block `b` with `0 < b ≤ remaining`
-/// (component-wise), `b ≤_lex roof` (canonical non-increasing order), and
-/// `Σb ≤ max_block_total`; recurse on the rest with `roof = b`.
-fn recurse(
-    remaining: Vec<u32>,
-    roof: &[u32],
+/// Visit the partitions [`multiset_partitions_capped`] would return, in
+/// the same order, without allocating per block or per partition.
+///
+/// Each partition reaches `visit` as one borrowed slice holding its
+/// blocks back to back, `counts.len()` entries per block
+/// (`blocks.chunks_exact(counts.len())` splits it). The slice is only
+/// valid for the call. Returns the number of partitions visited.
+///
+/// ```
+/// use eavm_partitions::multiset::for_each_multiset_partition;
+/// let mut seen = Vec::new();
+/// let n = for_each_multiset_partition(&[2, 1], u32::MAX, usize::MAX, |blocks| {
+///     seen.push(blocks.to_vec());
+/// });
+/// assert_eq!(n, 4);
+/// // {aab}, then {aa}{b}, {ab}{a}, {a}{a}{b}.
+/// assert_eq!(seen[0], [2, 1]);
+/// assert_eq!(seen[3], [1, 0, 1, 0, 0, 1]);
+/// ```
+pub fn for_each_multiset_partition<F: FnMut(&[u32])>(
+    counts: &[u32],
     max_block_total: u32,
     max_parts: usize,
-    acc: &mut MultisetPart,
-    out: &mut Vec<MultisetPart>,
-) {
-    if out.len() >= max_parts {
-        return;
+    mut visit: F,
+) -> usize {
+    let total: u32 = counts.iter().sum();
+    if total == 0 || max_parts == 0 {
+        return 0;
     }
-    if remaining.iter().all(|&c| c == 0) {
-        out.push(acc.clone());
-        return;
-    }
-    // Enumerate candidate blocks in decreasing lexicographic order so the
-    // output is itself canonically ordered.
-    let mut candidates = subvectors(&remaining);
-    candidates.sort_unstable_by(|a, b| b.cmp(a));
-    for b in candidates {
-        if out.len() >= max_parts {
-            return;
-        }
-        if b.as_slice() > roof {
-            continue;
-        }
-        if b.iter().sum::<u32>() > max_block_total {
-            continue;
-        }
-        let rest: Vec<u32> = remaining.iter().zip(&b).map(|(r, x)| r - x).collect();
-        acc.push(b.clone());
-        recurse(rest, &b, max_block_total, max_parts, acc, out);
-        acc.pop();
-    }
+    let mut walk = Walk {
+        dim: counts.len(),
+        max_block_total,
+        left: max_parts,
+        remaining: counts.to_vec(),
+        blocks: Vec::new(),
+        visit: &mut visit,
+    };
+    walk.descend(total);
+    max_parts - walk.left
 }
 
-/// All non-zero component-wise subvectors of `v`.
-fn subvectors(v: &[u32]) -> Vec<Vec<u32>> {
-    let mut out = vec![Vec::new()];
-    for &c in v {
-        let mut next = Vec::with_capacity(out.len() * (c as usize + 1));
-        for prefix in &out {
-            for x in 0..=c {
-                let mut p = prefix.clone();
-                p.push(x);
-                next.push(p);
+/// Depth-first enumeration state shared by every level: `remaining` is
+/// the multiset not yet covered by `blocks`, the stack of chosen blocks.
+struct Walk<'v, F> {
+    dim: usize,
+    max_block_total: u32,
+    /// Partitions that may still be emitted.
+    left: usize,
+    remaining: Vec<u32>,
+    blocks: Vec<u32>,
+    visit: &'v mut F,
+}
+
+impl<F: FnMut(&[u32])> Walk<'_, F> {
+    /// Pick the next block `b` with `0 < b ≤ remaining` (component-wise),
+    /// `b ≤_lex` the previous block (canonical non-increasing order), and
+    /// `Σb ≤ max_block_total`, then recurse on the rest. `items` is
+    /// `Σ remaining`.
+    ///
+    /// The candidates are stepped through in decreasing lexicographic
+    /// order in place on top of the stack, like an odometer over the box
+    /// `[0, remaining]`: the first is the largest box vector not above
+    /// the previous block, and each step decrements the last non-zero
+    /// digit and refills the digits after it to their maxima.
+    fn descend(&mut self, items: u32) {
+        if items == 0 {
+            (self.visit)(&self.blocks);
+            self.left -= 1;
+            return;
+        }
+        let (dim, top) = (self.dim, self.blocks.len());
+        // Start at the lex-largest box vector ≤ the previous block: copy
+        // the previous block while it fits, then take every remaining
+        // item from the first digit where it does not.
+        let mut tight = top > 0;
+        for i in 0..dim {
+            let r = self.remaining[i];
+            let digit = if tight {
+                let roof = self.blocks[top - dim + i];
+                tight = r >= roof;
+                r.min(roof)
+            } else {
+                r
+            };
+            self.blocks.push(digit);
+        }
+        loop {
+            let size: u32 = self.blocks[top..].iter().sum();
+            if size == 0 {
+                break;
+            }
+            if size <= self.max_block_total {
+                for i in 0..dim {
+                    self.remaining[i] -= self.blocks[top + i];
+                }
+                self.descend(items - size);
+                for i in 0..dim {
+                    self.remaining[i] += self.blocks[top + i];
+                }
+                if self.left == 0 {
+                    break;
+                }
+            }
+            // Lexicographic predecessor within the box.
+            let Some(i) = (0..dim).rev().find(|&i| self.blocks[top + i] > 0) else {
+                break;
+            };
+            self.blocks[top + i] -= 1;
+            for j in i + 1..dim {
+                self.blocks[top + j] = self.remaining[j];
             }
         }
-        out = next;
+        self.blocks.truncate(top);
     }
-    out.retain(|b| b.iter().any(|&x| x > 0));
-    out
 }
 
 /// Number of items in a block.
@@ -126,6 +178,123 @@ pub fn block_total(block: &[u32]) -> u32 {
 mod tests {
     use super::*;
     use std::collections::HashSet;
+
+    /// Reference enumerator (the parity oracle): materialize every
+    /// candidate block of the remaining multiset, sort them in decreasing
+    /// lexicographic order, and recurse with cloned state.
+    fn reference_capped(
+        counts: &[u32],
+        max_block_total: u32,
+        max_parts: usize,
+    ) -> Vec<MultisetPart> {
+        fn recurse(
+            remaining: Vec<u32>,
+            roof: &[u32],
+            max_block_total: u32,
+            max_parts: usize,
+            acc: &mut MultisetPart,
+            out: &mut Vec<MultisetPart>,
+        ) {
+            if out.len() >= max_parts {
+                return;
+            }
+            if remaining.iter().all(|&c| c == 0) {
+                out.push(acc.clone());
+                return;
+            }
+            let mut candidates = subvectors(&remaining);
+            candidates.sort_unstable_by(|a, b| b.cmp(a));
+            for b in candidates {
+                if out.len() >= max_parts {
+                    return;
+                }
+                if b.as_slice() > roof || b.iter().sum::<u32>() > max_block_total {
+                    continue;
+                }
+                let rest: Vec<u32> = remaining.iter().zip(&b).map(|(r, x)| r - x).collect();
+                acc.push(b.clone());
+                recurse(rest, &b, max_block_total, max_parts, acc, out);
+                acc.pop();
+            }
+        }
+
+        /// All non-zero component-wise subvectors of `v`.
+        fn subvectors(v: &[u32]) -> Vec<Vec<u32>> {
+            let mut out = vec![Vec::new()];
+            for &c in v {
+                let mut next = Vec::with_capacity(out.len() * (c as usize + 1));
+                for prefix in &out {
+                    for x in 0..=c {
+                        let mut p = prefix.clone();
+                        p.push(x);
+                        next.push(p);
+                    }
+                }
+                out = next;
+            }
+            out.retain(|b| b.iter().any(|&x| x > 0));
+            out
+        }
+
+        let total: u32 = counts.iter().sum();
+        if total == 0 || max_parts == 0 {
+            return Vec::new();
+        }
+        let mut out = Vec::new();
+        recurse(
+            counts.to_vec(),
+            counts,
+            max_block_total,
+            max_parts,
+            &mut Vec::new(),
+            &mut out,
+        );
+        out
+    }
+
+    #[test]
+    fn visitor_matches_the_reference_enumerator() {
+        let mut inputs: Vec<Vec<u32>> = Vec::new();
+        for a in 0..=6 {
+            for b in 0..=5 {
+                for c in 0..=4 {
+                    inputs.push(vec![a, b, c]);
+                }
+            }
+        }
+        inputs.extend([
+            vec![],
+            vec![3],
+            vec![7],
+            vec![2, 2],
+            vec![0, 4],
+            vec![2, 0, 3, 1],
+            vec![1, 1, 1, 1, 1],
+        ]);
+        let mut cases = 0;
+        for counts in &inputs {
+            for block_cap in [1, 2, 3, 5, 16, u32::MAX] {
+                for part_cap in [1, 3, 7, 4_096] {
+                    let expected: Vec<Vec<u32>> = reference_capped(counts, block_cap, part_cap)
+                        .into_iter()
+                        .map(|p| p.concat())
+                        .collect();
+                    let mut got = Vec::new();
+                    let visited =
+                        for_each_multiset_partition(counts, block_cap, part_cap, |blocks| {
+                            got.push(blocks.to_vec())
+                        });
+                    assert_eq!(
+                        got, expected,
+                        "{counts:?} block<={block_cap} cap {part_cap}"
+                    );
+                    assert_eq!(visited, expected.len());
+                    cases += 1;
+                }
+            }
+        }
+        assert_eq!(cases, inputs.len() * 24);
+    }
 
     /// Integer partition counts p(n) — multiset partitions of n identical
     /// items.

@@ -37,6 +37,9 @@ pub enum ErrorKind {
     UnknownSection,
     /// A key the enclosing section does not accept.
     UnknownKey,
+    /// A key earlier versions accepted that has since been removed; the
+    /// message says why and what to do instead.
+    RemovedKey,
     /// The same key given twice in one section.
     DuplicateKey,
     /// Two `[phase.<name>]` sections with the same name.
@@ -56,6 +59,7 @@ impl fmt::Display for ErrorKind {
             ErrorKind::Syntax => "syntax",
             ErrorKind::UnknownSection => "unknown-section",
             ErrorKind::UnknownKey => "unknown-key",
+            ErrorKind::RemovedKey => "removed-key",
             ErrorKind::DuplicateKey => "duplicate-key",
             ErrorKind::DuplicatePhase => "duplicate-phase",
             ErrorKind::BadValue => "bad-value",
@@ -459,7 +463,13 @@ fn build_spec(
             Section::Service => match a.key.as_str() {
                 "shards" => service.shards = a.count()?,
                 "queue" => service.queue = a.count()?,
-                "cache" => service.cache = a.count()?,
+                "cache" => {
+                    return Err(a.err(
+                        ErrorKind::RemovedKey,
+                        "[service] cache was removed: the model table holds every \
+                         hostable mix, so there is nothing to size; delete the line",
+                    ))
+                }
                 other => {
                     return Err(a.err(
                         ErrorKind::UnknownKey,
@@ -733,6 +743,17 @@ overload_queue_interval_s = 90.0
             )),
             ErrorKind::OutOfRange
         );
+    }
+
+    #[test]
+    fn stale_service_cache_key_says_it_was_removed() {
+        let text = "[scenario]\nname = \"x\"\n[service]\ncache = 2048\n";
+        let err = parse_scenario(text).unwrap_err();
+        assert_eq!(err.kind, ErrorKind::RemovedKey);
+        assert_eq!(err.line, 4);
+        let msg = err.to_string();
+        assert!(msg.contains("cache was removed"), "{msg}");
+        assert!(msg.contains("model table"), "{msg}");
     }
 
     #[test]

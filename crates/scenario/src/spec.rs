@@ -230,8 +230,6 @@ pub struct ServiceSpec {
     pub shards: usize,
     /// Admission channel / parked queue bound.
     pub queue: usize,
-    /// Per-allocator LRU model-cache capacity.
-    pub cache: usize,
 }
 
 impl Default for ServiceSpec {
@@ -239,7 +237,6 @@ impl Default for ServiceSpec {
         ServiceSpec {
             shards: 4,
             queue: 1024,
-            cache: 4096,
         }
     }
 }

@@ -2,16 +2,17 @@
 //!
 //! The concurrent service trades exact reproducibility for throughput:
 //! batch composition depends on mailbox timing. This module is the
-//! reference mode — it drives the *same* memoized allocator through the
-//! discrete-event simulator's virtual clock, single-threaded, so a
-//! given trace always yields the same allocations and the same energy.
+//! reference mode — it drives the *same* allocator stack the shards run
+//! through the discrete-event simulator's virtual clock,
+//! single-threaded, so a given trace always yields the same allocations
+//! and the same energy.
 //!
-//! The memoization layer is **semantically transparent**: it caches the
-//! deterministic `(resident mix ⊎ pending block) → estimate` function,
-//! so `replay_deterministic` must equal a plain
+//! That stack is `Proactive<ResilientModel<DbModel>>`, and without a
+//! fault plan the resilient layer is a pass-through, so
+//! `replay_deterministic` must equal a plain
 //! `Simulation::run(Proactive<DbModel>, …)` bit for bit — the
 //! `service_replay` integration test asserts exactly that, alongside a
-//! nonzero cache hit-rate.
+//! nonzero model-table hit count.
 
 use std::sync::Arc;
 
@@ -25,7 +26,7 @@ use eavm_swf::VmRequest;
 use eavm_telemetry::{Counter, Telemetry};
 use eavm_types::Seconds;
 
-use crate::memo::{CacheMetrics, CacheStats, MemoModel};
+use crate::shard::CacheStats;
 
 /// Configuration of a deterministic replay.
 #[derive(Debug, Clone)]
@@ -36,11 +37,9 @@ pub struct DeterministicConfig {
     pub deadlines: [Seconds; 3],
     /// QoS margin forwarded to the allocator.
     pub qos_margin: f64,
-    /// LRU capacity of the memoized model cache.
-    pub cache_capacity: usize,
     /// Record the per-interval allocation timeline in the outcome.
     pub timeline: bool,
-    /// Observability sink for the replay (cache, search, and simulator
+    /// Observability sink for the replay (table, search, and simulator
     /// instruments). Disabled by default; enabling it must not perturb
     /// the outcome — nothing on this path reads the wall clock.
     pub telemetry: Arc<Telemetry>,
@@ -60,7 +59,6 @@ impl DeterministicConfig {
             goal,
             deadlines,
             qos_margin: 0.65,
-            cache_capacity: 4096,
             timeline: false,
             telemetry: Telemetry::disabled(),
             faults: None,
@@ -81,9 +79,9 @@ impl DeterministicConfig {
 }
 
 /// Replay `requests` through the discrete-event engine with the
-/// service's memoized allocator, single-threaded and fully
-/// reproducible. `ground_truth` is the simulator's physics model;
-/// the returned [`CacheStats`] describe the allocator-side cache and
+/// service's allocator, single-threaded and fully reproducible.
+/// `ground_truth` is the simulator's physics model; the returned
+/// [`CacheStats`] describe the allocator's model-table lookups and
 /// the trailing `u64` counts model lookups answered by the analytic
 /// fallback under injected faults (always zero without a fault plan).
 pub fn replay_deterministic<G: AllocationModel>(
@@ -94,16 +92,6 @@ pub fn replay_deterministic<G: AllocationModel>(
     requests: &[VmRequest],
 ) -> Result<(SimOutcome, CacheStats, u64), SimulationError> {
     let tel = &config.telemetry;
-    let cache_metrics = if tel.is_enabled() {
-        CacheMetrics {
-            hits: tel.counter("replay.cache.hits"),
-            misses: tel.counter("replay.cache.misses"),
-            evictions: tel.counter("replay.cache.evictions"),
-            stripe: 0,
-        }
-    } else {
-        CacheMetrics::standalone()
-    };
     let search_metrics = if tel.is_enabled() {
         SearchMetrics {
             searches: tel.counter("replay.search.searches"),
@@ -126,12 +114,7 @@ pub fn replay_deterministic<G: AllocationModel>(
         Counter::standalone()
     };
     let mut strategy = Proactive::new(
-        ResilientModel::with_faults(
-            MemoModel::with_metrics(DbModel::new(db), config.cache_capacity, cache_metrics),
-            lookup,
-            fallbacks,
-            0,
-        ),
+        ResilientModel::with_faults(DbModel::new(db), lookup, fallbacks, 0),
         config.goal,
         config.deadlines,
     )
@@ -146,7 +129,11 @@ pub fn replay_deterministic<G: AllocationModel>(
         simulation = simulation.with_faults(plan.clone());
     }
     let outcome = simulation.run(&mut strategy, requests)?;
-    let cache = strategy.model().inner().cache_stats();
+    let table = strategy.model().inner();
+    let (hits, misses) = table.take_lookup_counts();
+    tel.counter("replay.cache.hits").add(hits);
+    tel.counter("replay.cache.misses").add(misses);
+    let cache = CacheStats::of_table(hits, misses, table.table_len());
     let fallbacks = strategy.model().model_fallbacks();
     Ok((outcome, cache, fallbacks))
 }

@@ -5,19 +5,15 @@
 //! this crate keeps the fleet resident and serves a live stream of VM
 //! requests.
 //!
-//! Three layers, bottom-up:
+//! Two layers, bottom-up:
 //!
-//! * [`memo`] — [`memo::MemoModel`]: a semantically transparent LRU
-//!   memoization layer over any [`eavm_core::AllocationModel`]. The
-//!   PROACTIVE partition search evaluates the same
-//!   `(resident mix ⊎ pending block)` keys over and over — the cache
-//!   (keyed on the packed [`eavm_core::MixKey`]) turns each repeat
-//!   into an O(1) hit and counts hits/misses/evictions.
 //! * [`shard`] — the fleet is split into contiguous server groups, each
 //!   owned exclusively by one `std::thread` worker with its own
-//!   memoized allocator; shards expose a message protocol with a
-//!   fast-path `TryLocal` and a two-phase `Reserve`/`Commit`/`Abort`
-//!   sequence for placements that must span shards atomically.
+//!   allocator. Its `DbModel` answers every in-box lookup from a dense
+//!   table, whose hits and misses surface as [`CacheStats`]. Shards
+//!   expose a message protocol with a fast-path `TryLocal` and a
+//!   two-phase `Reserve`/`Commit`/`Abort` sequence for placements that
+//!   must span shards atomically.
 //! * [`service`] — [`service::AllocService`]: bounded-queue admission
 //!   (blocking backpressure or shed-on-full), batched round-robin
 //!   fast-path dispatch, the serial cross-shard slow path with
@@ -36,24 +32,21 @@
 //! [`eavm_core::ResilientModel`] and are counted as `model_fallbacks`.
 //!
 //! [`deterministic::replay_deterministic`] is the single-threaded
-//! reference mode: the same memoized allocator driven by the
+//! reference mode: the same allocator stack driven by the
 //! discrete-event engine, reproducing `Simulation::run` exactly (the
-//! memo layer is provably invisible to allocation decisions — the
 //! `service_replay` integration test pins this down).
 
 #![forbid(unsafe_code)]
 
 pub mod deterministic;
 pub mod durable;
-pub mod memo;
 pub mod service;
 pub mod shard;
 
 pub use deterministic::{replay_deterministic, DeterministicConfig};
 pub use durable::{verdict_line, DurabilityConfig, DurabilityStats, RecoveryReport};
-pub use memo::{CacheMetrics, CacheStats, MemoModel};
 pub use service::{
     drive_paced, replay_online, replay_online_paced, AllocService, DrainReport, ReplayReport,
     ServiceConfig, ServiceStats, ShedReason, SubmitOutcome, Verdict,
 };
-pub use shard::ShardStats;
+pub use shard::{CacheStats, ShardStats};

@@ -13,7 +13,7 @@
 //! (routed to the shard with the most free slots for the request's
 //! type) — these run concurrently on the shard threads, which is where
 //! multi-shard throughput comes from. Requests no single shard can
-//! host fall back to the slow path: run the memoized partition search
+//! host fall back to the slow path: run the partition search
 //! over the whole fleet, then perform a two-phase reserve/commit so the
 //! cross-shard placement lands atomically (any Nack rolls back all
 //! acks and retries). Requests infeasible even fleet-wide are parked
@@ -55,10 +55,9 @@ use crate::durable::{
     dump_to_snap, make_storage, parked_to_rec, rebuild, req_to_rec, verdict_to_record,
     DurInstruments, DurabilityConfig, DurabilityStats, Journal, RecoveryReport,
 };
-use crate::memo::{CacheMetrics, CacheStats};
 use crate::shard::{
-    build_strategy, run_worker, ServiceStrategy, ShardCore, ShardInstruments, ShardMsg, ShardStats,
-    TryLocalReply,
+    build_strategy, run_worker, CacheStats, ServiceStrategy, ShardCore, ShardInstruments, ShardMsg,
+    ShardStats, TableCounters, TryLocalReply,
 };
 
 /// Tuning knobs for [`AllocService::start`].
@@ -70,9 +69,6 @@ pub struct ServiceConfig {
     pub servers: usize,
     /// Bound of the admission channel *and* of the parked wait queue.
     pub queue_capacity: usize,
-    /// LRU capacity of each model cache (one per shard plus the
-    /// coordinator's global-search cache).
-    pub cache_capacity: usize,
     /// PROACTIVE optimization goal α.
     pub goal: OptimizationGoal,
     /// Per-type response-time deadlines (Cpu, Mem, Io).
@@ -126,7 +122,6 @@ impl ServiceConfig {
             shards,
             servers,
             queue_capacity: 1024,
-            cache_capacity: 4096,
             goal: OptimizationGoal::BALANCED,
             deadlines: [Seconds(5400.0), Seconds(4500.0), Seconds(4050.0)],
             qos_margin: 0.65,
@@ -533,11 +528,9 @@ impl AllocService {
         for (index, range) in layout.iter().enumerate() {
             let strategy = build_strategy(
                 db.clone(),
-                config.cache_capacity,
                 config.goal,
                 config.deadlines,
                 config.qos_margin,
-                cache_metrics_for(&telemetry, stripes, index),
                 search_metrics_for(&telemetry, stripes, index),
                 config.lookup_faults,
                 fallbacks.clone(),
@@ -655,13 +648,12 @@ impl AllocService {
             );
         }
 
+        let global_table = TableCounters::registered(&telemetry, stripes, config.shards);
         let global = build_strategy(
             db.clone(),
-            config.cache_capacity,
             config.goal,
             config.deadlines,
             config.qos_margin,
-            cache_metrics_for(&telemetry, stripes, config.shards),
             search_metrics_for(&telemetry, stripes, config.shards),
             config.lookup_faults,
             fallbacks.clone(),
@@ -700,6 +692,7 @@ impl AllocService {
                 respawned: Vec::new(),
                 irrecoverable: vec![false; shards],
                 global,
+                global_table,
                 mirror,
                 ctl_rx,
                 verdict_tx,
@@ -879,25 +872,10 @@ fn shard_layout(servers: usize, shards: usize) -> Vec<std::ops::Range<usize>> {
     ranges
 }
 
-/// Cache counters for stripe `stripe` of the service-wide sharded
-/// metrics; private standalone counters when telemetry is disabled.
+/// Partition-search counters for stripe `stripe` of the service-wide
+/// sharded metrics; no-op handles when telemetry is disabled.
 /// Module-level (not a closure in `start`) because the coordinator
 /// rebuilds strategies with the same striping when respawning a shard.
-fn cache_metrics_for(telemetry: &Telemetry, stripes: usize, stripe: usize) -> CacheMetrics {
-    if telemetry.is_enabled() {
-        CacheMetrics {
-            hits: telemetry.sharded_counter("service.cache.hits", stripes),
-            misses: telemetry.sharded_counter("service.cache.misses", stripes),
-            evictions: telemetry.sharded_counter("service.cache.evictions", stripes),
-            stripe,
-        }
-    } else {
-        CacheMetrics::standalone()
-    }
-}
-
-/// Partition-search counters for stripe `stripe`; see
-/// [`cache_metrics_for`].
 fn search_metrics_for(telemetry: &Telemetry, stripes: usize, stripe: usize) -> SearchMetrics {
     if telemetry.is_enabled() {
         SearchMetrics {
@@ -1132,6 +1110,8 @@ struct Coordinator {
     /// [`ShedReason::ShardFailure`].
     irrecoverable: Vec<bool>,
     global: ServiceStrategy,
+    /// Table counters of `global` (the coordinator's stripe).
+    global_table: TableCounters,
     /// Exact copy of every server's mix. The coordinator is the only
     /// writer (fast-path replies, its own commits, advance retirements
     /// all flow through it), so this never goes stale and the slow path
@@ -1754,7 +1734,7 @@ impl Coordinator {
         let fleet = self.mirror.clone();
         if let [(_ticket, view)] = items {
             let proposal = if self.capacity_feasible(view, &fleet) {
-                self.global.allocate(view, &fleet).ok()
+                self.global_search(view, &fleet)
             } else {
                 None
             };
@@ -1813,11 +1793,23 @@ impl Coordinator {
                     && dead.contains(&(k % self.shards.len()))
                     && self.capacity_feasible(view, &fleet)
                 {
-                    proposals[k] = self.global.allocate(view, &fleet).ok();
+                    proposals[k] = self.global_search(view, &fleet);
                 }
             }
         }
         (fleet, proposals)
+    }
+
+    /// Run the coordinator's own fleet-wide search, flushing its model
+    /// table counts.
+    fn global_search(
+        &mut self,
+        view: &RequestView,
+        fleet: &[ServerView],
+    ) -> Option<Vec<Placement>> {
+        let proposal = self.global.allocate(view, fleet).ok();
+        self.global_table.flush(&self.global);
+        proposal
     }
 
     /// Cheap necessary condition before any partition search: the
@@ -2072,11 +2064,9 @@ impl Coordinator {
         let stripes = self.config.shards + 1;
         let strategy = build_strategy(
             self.db.clone(),
-            self.config.cache_capacity,
             self.config.goal,
             self.config.deadlines,
             self.config.qos_margin,
-            cache_metrics_for(&self.config.telemetry, stripes, index),
             search_metrics_for(&self.config.telemetry, stripes, index),
             self.config.lookup_faults,
             self.fallbacks.clone(),
@@ -2531,7 +2521,7 @@ impl Coordinator {
                 })?;
             shard_stats.push(stats);
         }
-        let coordinator_cache = self.global.model().inner().cache_stats();
+        let coordinator_cache = self.global_table.stats(&self.global);
         let mut aggregate_cache = coordinator_cache;
         for s in &shard_stats {
             aggregate_cache.merge(&s.cache);

@@ -1,5 +1,5 @@
 //! Shard workers: each shard is a `std::thread` owning a contiguous
-//! block of the fleet plus its own memoized allocator.
+//! block of the fleet plus its own allocator.
 //!
 //! A shard is the unit of state ownership — no locks, no sharing: the
 //! only way to observe or mutate a shard's servers is a message on its
@@ -34,13 +34,116 @@ use eavm_faults::LookupFaults;
 use eavm_telemetry::{Counter, Telemetry};
 use eavm_types::{EavmError, Joules, MixVector, Seconds, ServerId, WorkloadType};
 
-use crate::memo::{CacheMetrics, CacheStats, MemoModel};
-
 /// The allocator every shard (and the coordinator's global search)
-/// runs: the memoized empirical model behind a fault-tolerant wrapper.
-/// The resilient layer sits *outside* the memo so a degraded analytic
-/// answer is never cached as if it were the empirical one.
-pub(crate) type ServiceStrategy = Proactive<ResilientModel<MemoModel<DbModel>>>;
+/// runs: the empirical model, answered from its dense lookup table,
+/// behind a fault-tolerant wrapper. The table is built once from the
+/// database, so a degraded analytic answer can never end up in it.
+pub(crate) type ServiceStrategy = Proactive<ResilientModel<DbModel>>;
+
+/// Lookup counters of one allocator's model table, exposed in
+/// `ServiceStats` and `ShardStats`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct CacheStats {
+    /// Lookups the table answered.
+    pub hits: u64,
+    /// Lookups that went to the database (mixes outside the table).
+    pub misses: u64,
+    /// Always 0: the table holds every in-box mix and never evicts.
+    pub evictions: u64,
+    /// Entries in the table.
+    pub len: usize,
+    /// Entries in the table (a table is always full).
+    pub capacity: usize,
+}
+
+impl CacheStats {
+    /// Counters of a table of `len` entries.
+    pub(crate) fn of_table(hits: u64, misses: u64, len: usize) -> Self {
+        CacheStats {
+            hits,
+            misses,
+            evictions: 0,
+            len,
+            capacity: len,
+        }
+    }
+
+    /// Hit rate in `[0, 1]` (0 when no lookups happened).
+    pub fn hit_rate(&self) -> f64 {
+        let total = self.hits + self.misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.hits as f64 / total as f64
+        }
+    }
+
+    /// Merge another allocator's counters (sizes add; for aggregate
+    /// reporting across shards).
+    pub fn merge(&mut self, other: &CacheStats) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.evictions += other.evictions;
+        self.len += other.len;
+        self.capacity += other.capacity;
+    }
+}
+
+/// Counter handles one allocator's model-table traffic lands on, on
+/// `stripe`. The model counts in plain cells; [`TableCounters::flush`]
+/// moves those counts here once per served message or search, so no
+/// lookup pays for an atomic.
+#[derive(Debug, Clone)]
+pub(crate) struct TableCounters {
+    hits: Counter,
+    misses: Counter,
+    stripe: usize,
+}
+
+impl TableCounters {
+    /// Private single-stripe counters (the non-registry default).
+    pub(crate) fn standalone() -> Self {
+        TableCounters {
+            hits: Counter::standalone(),
+            misses: Counter::standalone(),
+            stripe: 0,
+        }
+    }
+
+    /// Stripe `stripe` of the service-wide `service.cache.*` counters;
+    /// private standalone counters when telemetry is disabled.
+    pub(crate) fn registered(telemetry: &Telemetry, stripes: usize, stripe: usize) -> Self {
+        if !telemetry.is_enabled() {
+            return TableCounters::standalone();
+        }
+        TableCounters {
+            hits: telemetry.sharded_counter("service.cache.hits", stripes),
+            misses: telemetry.sharded_counter("service.cache.misses", stripes),
+            stripe,
+        }
+    }
+
+    /// Move the lookups `strategy`'s model counted since the last flush
+    /// onto this stripe.
+    pub(crate) fn flush(&self, strategy: &ServiceStrategy) {
+        let (hits, misses) = strategy.model().inner().take_lookup_counts();
+        if hits > 0 {
+            self.hits.add_on(self.stripe, hits);
+        }
+        if misses > 0 {
+            self.misses.add_on(self.stripe, misses);
+        }
+    }
+
+    /// Snapshot of this stripe, sized by `strategy`'s table.
+    pub(crate) fn stats(&self, strategy: &ServiceStrategy) -> CacheStats {
+        CacheStats::of_table(
+            self.hits.on_stripe(self.stripe),
+            self.misses.on_stripe(self.stripe),
+            strategy.model().inner().table_len(),
+        )
+    }
+}
 
 /// One VM resident on a shard server, with its estimated completion
 /// time (fixed at commit, from the post-placement mix).
@@ -96,7 +199,7 @@ pub struct ShardStats {
     pub model_fallbacks: u64,
     /// Sum of model-estimated dynamic energy of committed placements.
     pub estimated_energy: Joules,
-    /// Memoization counters of this shard's model cache.
+    /// Lookup counters of this shard's model table.
     pub cache: CacheStats,
 }
 
@@ -118,6 +221,8 @@ pub(crate) struct ShardInstruments {
     pub aborts: Counter,
     pub retired_vms: Counter,
     pub global_searches: Counter,
+    /// Model-table lookups of this shard's allocator.
+    pub table: TableCounters,
     /// Stripe this shard writes and reads.
     pub stripe: usize,
 }
@@ -134,6 +239,7 @@ impl ShardInstruments {
             aborts: Counter::standalone(),
             retired_vms: Counter::standalone(),
             global_searches: Counter::standalone(),
+            table: TableCounters::standalone(),
             stripe: 0,
         }
     }
@@ -155,6 +261,9 @@ impl ShardInstruments {
             aborts: telemetry.sharded_counter("service.shard.aborts", stripes),
             retired_vms: telemetry.sharded_counter("service.shard.retired_vms", stripes),
             global_searches: telemetry.sharded_counter("service.shard.global_searches", stripes),
+            // One more stripe than shards: the last is the coordinator's
+            // global-search allocator.
+            table: TableCounters::registered(telemetry, stripes + 1, stripe),
             stripe,
         }
     }
@@ -621,7 +730,7 @@ impl ShardCore {
             global_searches: read(&c.global_searches),
             model_fallbacks: self.strategy.model().model_fallbacks(),
             estimated_energy: self.estimated_energy,
-            cache: self.strategy.model().inner().cache_stats(),
+            cache: c.table.stats(&self.strategy),
         }
     }
 }
@@ -778,34 +887,27 @@ pub(crate) fn run_worker(mut core: ShardCore, rx: Receiver<ShardMsg>, kill_after
             }
             ShardMsg::Shutdown => break,
         }
+        core.counters.table.flush(&core.strategy);
     }
 }
 
 /// Build the per-shard allocator used by both shard workers and the
-/// coordinator's global search, counting cache traffic into
-/// `cache_metrics`, partition-search work into `search_metrics`, and
-/// injected-lookup-failure fallbacks into stripe `fallback_stripe` of
-/// `fallbacks`.
+/// coordinator's global search, counting partition-search work into
+/// `search_metrics` and injected-lookup-failure fallbacks into stripe
+/// `fallback_stripe` of `fallbacks`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn build_strategy(
     db: eavm_benchdb::ModelDatabase,
-    cache_capacity: usize,
     goal: OptimizationGoal,
     deadlines: [Seconds; 3],
     qos_margin: f64,
-    cache_metrics: CacheMetrics,
     search_metrics: eavm_core::SearchMetrics,
     lookup_faults: LookupFaults,
     fallbacks: Counter,
     fallback_stripe: usize,
 ) -> ServiceStrategy {
     Proactive::new(
-        ResilientModel::with_faults(
-            MemoModel::with_metrics(DbModel::new(db), cache_capacity, cache_metrics),
-            lookup_faults,
-            fallbacks,
-            fallback_stripe,
-        ),
+        ResilientModel::with_faults(DbModel::new(db), lookup_faults, fallbacks, fallback_stripe),
         goal,
         deadlines,
     )
@@ -827,11 +929,9 @@ mod tests {
         let db = DbBuilder::exact().build().expect("db");
         build_strategy(
             db,
-            256,
             OptimizationGoal::BALANCED,
             deadlines(),
             1.0,
-            CacheMetrics::standalone(),
             eavm_core::SearchMetrics::default(),
             LookupFaults::disabled(),
             Counter::noop(),

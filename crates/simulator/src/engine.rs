@@ -88,7 +88,6 @@ struct Vm {
     submit: Seconds,
     deadline: Seconds,
     remaining: f64,
-    done: Option<Seconds>,
     /// Whether a consolidation sweep ever moved this VM — a deadline
     /// miss on a migrated VM is charged to the migration SLA tally.
     migrated: bool,
@@ -785,43 +784,40 @@ impl<M: AllocationModel> Simulation<M> {
                 }
             }
 
-            // Retire completed VMs and update their servers.
-            #[allow(clippy::needless_range_loop)] // `servers[si]` is mutated in the body
-            for si in 0..servers.len() {
-                let mut changed = false;
-                let resident = std::mem::take(&mut servers[si].vms);
-                let mut kept = Vec::with_capacity(resident.len());
-                for vid in resident {
-                    if vms[vid].remaining <= EPS {
-                        let vm = &mut vms[vid];
-                        vm.done = Some(t);
-                        vm.remaining = 0.0;
-                        active -= 1;
-                        changed = true;
-                        last_completion = last_completion.max(t);
-                        let response = t - vm.submit;
-                        total_response += response;
-                        if response > vm.deadline {
-                            violated[vm.request] = true;
-                            if vm.migrated {
-                                mig_tally.charge_violation();
-                            }
-                        }
-                        servers[si].mix = servers[si]
-                            .mix
-                            .minus(vm.ty)
-                            .expect("completed VM must be in its server's mix");
-                    } else {
-                        kept.push(vid);
+            // Retire completed VMs and update their servers. Most events
+            // complete nothing on most servers, so a server is only
+            // rewritten (in place, keeping resident order) when one of
+            // its VMs is done.
+            for s in servers.iter_mut() {
+                if !s.vms.iter().any(|&vid| vms[vid].remaining <= EPS) {
+                    continue;
+                }
+                let mut mix = s.mix;
+                s.vms.retain(|&vid| {
+                    let vm = &mut vms[vid];
+                    let done = vm.remaining <= EPS;
+                    if !done {
+                        return true;
                     }
-                }
-                servers[si].vms = kept;
-                if changed {
-                    let platform = servers[si].platform;
-                    servers[si]
-                        .refresh(self.model_of(platform))
-                        .map_err(SimulationError::Model)?;
-                }
+                    vm.remaining = 0.0;
+                    active -= 1;
+                    last_completion = last_completion.max(t);
+                    let response = t - vm.submit;
+                    total_response += response;
+                    if response > vm.deadline {
+                        violated[vm.request] = true;
+                        if vm.migrated {
+                            mig_tally.charge_violation();
+                        }
+                    }
+                    mix = mix
+                        .minus(vm.ty)
+                        .expect("completed VM must be in its server's mix");
+                    false
+                });
+                s.mix = mix;
+                s.refresh(self.model_of(s.platform))
+                    .map_err(SimulationError::Model)?;
             }
 
             // Reactive consolidation sweep: drain straggler servers onto
@@ -1028,7 +1024,6 @@ impl<M: AllocationModel> Simulation<M> {
                         // The VM record becomes a dead husk: never
                         // resident again, never retired.
                         vm.remaining = 1.0;
-                        vm.done = None;
                         *killed.entry(vm.request).or_insert(0) += 1;
                     }
                     for (origin, vm_count) in killed {
@@ -1101,7 +1096,6 @@ impl<M: AllocationModel> Simulation<M> {
                         submit: req.submit,
                         deadline: req.deadline,
                         remaining: 1.0,
-                        done: None,
                         migrated: false,
                     });
                     servers[si].vms.push(vid);

@@ -68,6 +68,21 @@ cargo bench --no-run --workspace
 echo "==> cargo doc --no-deps"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
+echo "==> results drift gate (committed figures re-run byte for byte)"
+# Every deterministic experiment binary must print exactly its
+# committed results/<name>.txt, so a change that moves a number has to
+# commit the new file. overload_shed reads the wall clock: not gated.
+DRIFT_DIR="$(mktemp -d)"
+TMP_DIRS+=("$DRIFT_DIR")
+for f in results/*.txt; do
+    name="$(basename "$f" .txt)"
+    if [ "$name" = overload_shed ]; then continue; fi
+    cargo run --release -q -p eavm-bench --bin "$name" > "$DRIFT_DIR/$name.txt" 2> /dev/null
+    cmp -s "$f" "$DRIFT_DIR/$name.txt" \
+        || { echo "results drift: $f differs from what $name prints"; \
+             diff "$f" "$DRIFT_DIR/$name.txt" | head -20; exit 1; }
+done
+
 echo "==> chaos smoke (deterministic fault injection)"
 # A short replay with a nonzero fault rate must exit 0, conserve VM
 # placements (trace + restarts), and survive an injected shard-worker

@@ -148,15 +148,4 @@ fn main() {
         homo_pa.energy.value(),
         mixed_ff.energy.value(),
     );
-    println!();
-    println!(
-        "reading: platform-aware models do NOT automatically help the paper's greedy\n\
-         per-block scoring. The big node's honest estimates (210 W idle floor, higher\n\
-         absolute run energies) make it look expensive to the energy goal, so the aware\n\
-         allocator under-uses exactly the machines with the most capacity and queues on\n\
-         the reference servers; the naive single-database allocator mis-prices big nodes\n\
-         as reference machines and accidentally load-balances. Heterogeneity needs a\n\
-         utilization-normalized objective or placement lookahead, not just per-platform\n\
-         data — which is presumably why the paper left it as future work."
-    );
 }

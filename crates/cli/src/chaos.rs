@@ -1,17 +1,9 @@
 //! The chaos-injection flags shared by `simulate`, `serve`, `recover`,
-//! `replay-online`, and `scenario run`: parsed once into [`ChaosFlags`]
-//! so every subcommand agrees on names, defaults, and validation.
+//! `replay-online`, and `scenario`: parsed once into [`ChaosFlags`]
+//! so every subcommand agrees on defaults and validation. The flags
+//! themselves are declared in [`crate::args::COMMANDS`].
 //!
-//! * `--fault-seed N` — seed for fault plans / lookup faults (default
-//!   `0xFA17`).
-//! * `--fault-rate F` — expected crashes *and* degradations per
-//!   host-hour (simulator) or the knob deriving the transient
-//!   model-lookup failure probability (service); must be in `[0, 1]`.
-//! * `--kill-shard N` / `--kill-after M` — kill worker N after M served
-//!   messages to exercise the supervised respawn path.
-//!
-//! The durability plane has its own fault family (torn appends, bit
-//! rot, ENOSPC, dropped syncs, failed renames), parsed by
+//! The durability plane has its own fault family, parsed by
 //! [`storage_fault_flags`] into an [`eavm_storage::StorageFaultConfig`]
 //! armed on the journal's storage backend.
 
@@ -37,21 +29,25 @@ pub struct ChaosFlags {
 }
 
 impl ChaosFlags {
-    /// Parse and validate the chaos flags from a command line.
+    /// Parse and validate the chaos flags from a command line. The
+    /// worker-kill pair is read only where the subcommand has workers.
     pub fn from_args(args: &Args) -> Result<Self, String> {
         let rate: Option<f64> = args.get_optional("fault-rate")?;
         // `fraction_or` owns the range check (and its error message).
         args.fraction_or("fault-rate", 0.0)?;
-        let kill_after: Option<u64> = args.get_optional("kill-after")?;
-        if kill_after == Some(0) {
-            return Err("--kill-after must be nonzero".into());
-        }
-        Ok(ChaosFlags {
+        let mut flags = ChaosFlags {
             seed: args.get_optional("fault-seed")?,
             rate,
-            kill_shard: args.get_optional("kill-shard")?,
-            kill_after,
-        })
+            ..ChaosFlags::default()
+        };
+        if args.declares("kill-shard") {
+            flags.kill_shard = args.get_optional("kill-shard")?;
+            flags.kill_after = args.get_optional("kill-after")?;
+            if flags.kill_after == Some(0) {
+                return Err("--kill-after must be nonzero".into());
+            }
+        }
+        Ok(flags)
     }
 
     pub fn seed(&self) -> u64 {
@@ -88,16 +84,16 @@ impl ChaosFlags {
         Some((seed, rate, plan))
     }
 
-    /// Arm transient model-lookup failures for the online service (same
-    /// seeding as the simulator's plan). `None` when the rate is zero.
+    /// Arm transient model-lookup failures for the online service: the
+    /// predicate the simulator's plan carries for the same seed and
+    /// rate. `None` when the rate is zero.
     pub fn lookup_faults(&self) -> Option<LookupFaults> {
         let rate = self.rate();
         if rate <= 0.0 {
             return None;
         }
-        let seed = self.seed();
-        let lookup = FaultConfig::uniform(seed, rate).lookup_failure_rate;
-        Some(LookupFaults::new(seed, lookup))
+        let lookup = FaultConfig::uniform(self.seed(), rate).lookup_failure_rate;
+        Some(LookupFaults::seeded(self.seed(), lookup))
     }
 
     /// Arm the worker-kill plan when `--kill-shard` was given, range-
@@ -139,15 +135,11 @@ impl ChaosFlags {
 }
 
 /// Parse the storage-fault flags shared by `serve` and `recover` into
-/// a [`StorageFaultConfig`], or `None` when no fault is armed:
-///
-/// * `--storage-torn-append F` — probability an append tears mid-write.
-/// * `--storage-bit-flip F` — probability a read-back flips one bit.
-/// * `--storage-drop-sync F` — probability an fsync is silently dropped.
-/// * `--storage-fail-rename F` — probability an atomic rename fails.
-/// * `--storage-enospc-after BYTES` — byte budget before writes ENOSPC.
-/// * `--storage-fault-seed N` — deterministic seed (default `0xFA17`);
-///   rejected on its own, since a seed with nothing armed is a typo.
+/// a [`StorageFaultConfig`], or `None` when no fault is armed: torn
+/// appends, read-back bit flips, dropped fsyncs and failed renames at
+/// the given probabilities, and ENOSPC past a byte budget. The seed
+/// (default `0xFA17`) is rejected on its own, since a seed with nothing
+/// armed is a typo.
 pub fn storage_fault_flags(args: &Args) -> Result<Option<StorageFaultConfig>, String> {
     let torn = args.fraction_or("storage-torn-append", 0.0)?;
     let flip = args.fraction_or("storage-bit-flip", 0.0)?;
@@ -181,15 +173,29 @@ pub fn storage_fault_flags(args: &Args) -> Result<Option<StorageFaultConfig>, St
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::args::command;
+
+    fn args(name: &str, argv: &[&str]) -> Result<Args, String> {
+        let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
+        Args::parse(command(name).expect("declared subcommand"), &argv)
+    }
+
+    /// `serve` with its required flags and a journal, plus `extra`.
+    fn serve(extra: &[&str]) -> Args {
+        let mut argv = vec!["--db-dir", "db", "--trace", "t.swf", "--servers", "4"];
+        argv.extend(["--journal-dir", "j"]);
+        argv.extend(extra);
+        args("serve", &argv).expect("argv parses")
+    }
 
     fn parse(argv: &[&str]) -> ChaosFlags {
-        let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
-        ChaosFlags::from_args(&Args::parse(&argv).expect("argv parses")).expect("flags parse")
+        ChaosFlags::from_args(&args("scenario check", argv).expect("argv parses"))
+            .expect("flags parse")
     }
 
     #[test]
     fn defaults_arm_nothing() {
-        let flags = parse(&["x"]);
+        let flags = parse(&[]);
         assert_eq!(flags.seed(), DEFAULT_FAULT_SEED);
         assert!(flags.host_plan(8, &[]).is_none());
         assert!(flags.lookup_faults().is_none());
@@ -198,25 +204,32 @@ mod tests {
 
     #[test]
     fn rate_and_kill_flags_validate() {
-        let argv: Vec<String> = ["x", "--fault-rate", "1.5"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let err = ChaosFlags::from_args(&Args::parse(&argv).expect("argv parses"))
+        let err = ChaosFlags::from_args(&args("scenario check", &["--fault-rate", "1.5"]).unwrap())
             .expect_err("rate out of range");
         assert!(err.contains("[0, 1]"), "{err}");
 
-        let argv: Vec<String> = ["x", "--kill-after", "0"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let err = ChaosFlags::from_args(&Args::parse(&argv).expect("argv parses"))
+        let err = ChaosFlags::from_args(&args("scenario check", &["--kill-after", "0"]).unwrap())
             .expect_err("zero kill-after");
         assert!(err.contains("nonzero"), "{err}");
 
-        let flags = parse(&["x", "--kill-shard", "9"]);
+        let flags = parse(&["--kill-shard", "9"]);
         let err = flags.worker_faults(4).expect_err("shard out of range");
         assert!(err.contains("out of range"), "{err}");
+    }
+
+    #[test]
+    fn serve_lookup_faults_match_the_simulator_plan() {
+        for (seed, rate) in [("42", "1.0"), ("7", "0.3"), ("64023", "0.05")] {
+            let flags =
+                ChaosFlags::from_args(&serve(&["--fault-seed", seed, "--fault-rate", rate]))
+                    .expect("flags parse");
+            let (_, _, plan) = flags.host_plan(8, &[]).expect("rate arms a plan");
+            assert_eq!(
+                flags.lookup_faults(),
+                Some(plan.lookup_faults()),
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]
@@ -228,10 +241,10 @@ mod tests {
         )
         .expect("valid scenario");
         let before = spec.faults.seed;
-        parse(&["x"]).apply_to_spec(&mut spec).expect("no-op apply");
+        parse(&[]).apply_to_spec(&mut spec).expect("no-op apply");
         assert_eq!(spec.faults.seed, before);
 
-        parse(&["x", "--fault-seed", "7", "--fault-rate", "0.25"])
+        parse(&["--fault-seed", "7", "--fault-rate", "0.25"])
             .apply_to_spec(&mut spec)
             .expect("overrides apply");
         assert_eq!(spec.faults.seed, 7);
@@ -239,30 +252,29 @@ mod tests {
 
         // A kill override on a simulate-mode scenario must fail the
         // re-validation instead of silently compiling to nothing.
-        let err = parse(&["x", "--kill-shard", "0"])
+        let err = parse(&["--kill-shard", "0"])
             .apply_to_spec(&mut spec)
             .expect_err("kill needs service mode");
         assert!(err.contains("kill"), "{err}");
     }
 
     fn storage(argv: &[&str]) -> Result<Option<StorageFaultConfig>, String> {
-        let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
-        storage_fault_flags(&Args::parse(&argv).expect("argv parses"))
+        storage_fault_flags(&serve(argv))
     }
 
     #[test]
     fn storage_flags_arm_only_when_a_fault_is_given() {
-        assert!(storage(&["x"]).expect("parses").is_none());
-        let armed = storage(&["x", "--storage-bit-flip", "0.5"])
+        assert!(storage(&[]).expect("parses").is_none());
+        let armed = storage(&["--storage-bit-flip", "0.5"])
             .expect("parses")
             .expect("armed");
         assert!(!armed.is_quiet());
 
-        let err = storage(&["x", "--storage-fault-seed", "9"]).expect_err("seed alone");
+        let err = storage(&["--storage-fault-seed", "9"]).expect_err("seed alone");
         assert!(err.contains("storage-fault-seed"), "{err}");
-        let err = storage(&["x", "--storage-enospc-after", "0"]).expect_err("zero budget");
+        let err = storage(&["--storage-enospc-after", "0"]).expect_err("zero budget");
         assert!(err.contains("nonzero"), "{err}");
-        let err = storage(&["x", "--storage-torn-append", "1.5"]).expect_err("out of range");
+        let err = storage(&["--storage-torn-append", "1.5"]).expect_err("out of range");
         assert!(err.contains("[0, 1]"), "{err}");
     }
 }

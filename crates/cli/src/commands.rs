@@ -5,9 +5,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use eavm_benchdb::{DbBuilder, ModelDatabase};
-use eavm_core::{
-    AllocationStrategy, AnalyticModel, BestFit, DbModel, FirstFit, OptimizationGoal, Proactive,
-};
+use eavm_core::{AllocationStrategy, AnalyticModel, DbModel, OptimizationGoal, Proactive};
 use eavm_faults::{CrashSchedule, FaultPlan};
 use eavm_migrate::ConsolidationConfig;
 use eavm_service::{CacheStats, DurabilityConfig, ReplayReport};
@@ -19,21 +17,29 @@ use eavm_swf::{
 use eavm_telemetry::Telemetry;
 use eavm_types::{Seconds, WorkloadType};
 
-use crate::args::Args;
+use crate::args::{self, Args};
 use crate::chaos::{storage_fault_flags, ChaosFlags};
 
-/// Dispatch a parsed command line; returns the stdout payload.
+/// Dispatch a command line; returns the stdout payload.
 pub fn dispatch(argv: &[String]) -> Result<String, String> {
-    if argv.is_empty() || argv[0] == "help" || argv[0] == "--help" {
-        return Ok(usage());
-    }
-    // `scenario run|check FILE` carries positionals the flag parser
-    // rejects; peel them off before handing the rest to `Args`.
-    if argv[0] == "scenario" {
-        return scenario_cmd(&argv[1..]);
-    }
-    let args = Args::parse(argv)?;
-    match args.command.as_str() {
+    let first = match argv.first().map(String::as_str) {
+        None | Some("help" | "--help") => return Ok(usage()),
+        Some(first) => first,
+    };
+    // `scenario check|run FILE` carries positionals the flag parser
+    // rejects; peel them off before parsing the rest.
+    let (name, file, rest) = match (first, &argv[1..]) {
+        ("scenario", [action, file, rest @ ..]) if !file.starts_with("--") => {
+            (format!("scenario {action}"), PathBuf::from(file), rest)
+        }
+        _ => (first.to_string(), PathBuf::new(), &argv[1..]),
+    };
+    let command = args::command(&name).ok_or_else(|| match first {
+        "scenario" => "scenario needs an action (check or run) and a FILE".to_string(),
+        _ => format!("unknown subcommand {name:?}"),
+    })?;
+    let args = Args::parse(command, rest)?;
+    match command.name {
         "build-db" => build_db(&args),
         "gen-trace" => gen_trace(&args),
         "clean-trace" => clean_trace_cmd(&args),
@@ -44,77 +50,46 @@ pub fn dispatch(argv: &[String]) -> Result<String, String> {
         "scrub" => scrub_cmd(&args),
         "corrupt" => corrupt_cmd(&args),
         "replay-online" => replay_online_cmd(&args),
+        "scenario check" => Ok(render_scenario_check(&load_scenario(&args, &file)?)),
+        "scenario run" => scenario_run(&args, &load_scenario(&args, &file)?),
         "db-diff" => db_diff(&args),
         "info" => info(&args),
         "lint" => lint(&args),
-        other => Err(format!("unknown subcommand {other:?}")),
+        other => Err(format!(
+            "subcommand {other:?} is declared but not dispatched"
+        )),
     }
 }
 
+/// The `help` text, rendered from the flag tables.
 fn usage() -> String {
-    "\
-eavm-cli — energy-aware application-centric VM allocation (IPDPS 2011 reproduction)
-
-USAGE:
-  eavm-cli build-db    --out-dir DIR [--seed N] [--exact] [--threads N]
-  eavm-cli gen-trace   --out FILE [--seed N] [--jobs N] [--burst-gap SECS]
-  eavm-cli clean-trace --input FILE --out FILE
-  eavm-cli trace-stats --input FILE
-  eavm-cli simulate    --db-dir DIR --trace FILE --strategy NAME --servers N
-                       [--big-nodes N] [--vms N] [--seed N] [--qos F] [--margin F]
-                       [--burst] [--always-on] [--timeline-out FILE]
-                       [--consolidate-every SECS] [--drain-threshold N]
-                       [--fault-seed N] [--fault-rate F]
-  eavm-cli serve       --db-dir DIR --trace FILE --servers N [--shards N]
-                       [--vms N] [--seed N] [--qos F] [--margin F] [--alpha F]
-                       [--queue N]
-                       [--consolidate-every SECS] [--drain-threshold N]
-                       [--overload] [--overload-cut F] [--limit-max N]
-                       [--queue-target SECS] [--queue-interval SECS]
-                       [--breaker-rate F] [--breaker-seed N]
-                       [--fault-seed N] [--fault-rate F]
-                       [--kill-shard N] [--kill-after M]
-                       [--journal-dir DIR] [--checkpoint-every N] [--paced]
-                       [--append-retries N]
-                       [--crash-after-events N] [--verdicts-out FILE]
-                       [--storage-fault-seed N] [--storage-torn-append F]
-                       [--storage-bit-flip F] [--storage-drop-sync F]
-                       [--storage-fail-rename F] [--storage-enospc-after BYTES]
-                       [--metrics-out FILE] [--metrics-format prometheus|json]
-  eavm-cli recover     --db-dir DIR --trace FILE --servers N --journal-dir DIR
-                       [--shards N] [--vms N] [--seed N] [--qos F] [--margin F]
-                       [--alpha F] [--queue N] [--checkpoint-every N]
-                       [--consolidate-every SECS] [--drain-threshold N]
-                       [--overload] [--overload-cut F] [--limit-max N]
-                       [--queue-target SECS] [--queue-interval SECS]
-                       [--breaker-rate F] [--breaker-seed N]
-                       [--append-retries N] [--scrub] [--verdicts-out FILE]
-  eavm-cli scrub       --journal-dir DIR
-  eavm-cli corrupt     --journal-dir DIR --seed N
-                       --kind snapshot-bit-flip|wal-torn-tail|wal-zero-run
-  eavm-cli replay-online --db-dir DIR --trace FILE --servers N
-                       [--vms N] [--seed N] [--qos F] [--margin F] [--alpha F]
-                       [--fault-seed N] [--fault-rate F]
-                       [--metrics-out FILE] [--metrics-format prometheus|json]
-  eavm-cli scenario check FILE
-  eavm-cli scenario run FILE [--db-dir DIR] [--threads N] [--out FILE]
-                       [--fault-seed N] [--fault-rate F]
-                       [--kill-shard N] [--kill-after M]
-  eavm-cli db-diff     --left DIR --right DIR [--tolerance F]
-  eavm-cli info        --db-dir DIR
-  eavm-cli lint        [--root DIR] [--format text|json|sarif] [--rules LIST] [--deny]
-
-STRATEGIES: ff ff2 ff3 bf bf2 bf3 pa0 pa05 pa1 pa:<alpha>
-"
-    .to_string()
+    let mut out = String::from(
+        "eavm-cli — energy-aware application-centric VM allocation (IPDPS 2011 reproduction)\n\n\
+         USAGE:\n",
+    );
+    for command in args::COMMANDS {
+        out.push_str(&command.usage());
+    }
+    out.push_str(&format!(
+        "\nFlags are strict: an unknown flag, a value flag without a value, a switch\n\
+         given a value, or a flag without the flag it needs is an error.\n\n\
+         STRATEGIES: {} pa0 pa05 pa1 pa:<alpha>\n",
+        eavm_core::BASELINE_NAMES.join(" ")
+    ));
+    out
 }
 
 fn db_paths(dir: &Path) -> (PathBuf, PathBuf) {
     (dir.join("model.csv"), dir.join("aux.txt"))
 }
 
+fn load_db(dir: &Path) -> Result<ModelDatabase, String> {
+    let (dbp, auxp) = db_paths(dir);
+    ModelDatabase::load(&dbp, &auxp).map_err(|e| e.to_string())
+}
+
 fn build_db(args: &Args) -> Result<String, String> {
-    let out_dir = PathBuf::from(args.required("out-dir")?);
+    let out_dir = args.get_required::<PathBuf>("out-dir")?;
     let seed: u64 = args.get_or("seed", 0xE6EE)?;
     let threads: usize = args.get_or("threads", 1)?;
     let builder = DbBuilder {
@@ -138,7 +113,7 @@ fn build_db(args: &Args) -> Result<String, String> {
 }
 
 fn gen_trace(args: &Args) -> Result<String, String> {
-    let out = PathBuf::from(args.required("out")?);
+    let out = args.get_required::<PathBuf>("out")?;
     let config = GeneratorConfig {
         seed: args.get_or("seed", 0xE6EE)?,
         total_jobs: args.get_or("jobs", 5_000)?,
@@ -157,8 +132,8 @@ fn gen_trace(args: &Args) -> Result<String, String> {
 }
 
 fn clean_trace_cmd(args: &Args) -> Result<String, String> {
-    let input = PathBuf::from(args.required("input")?);
-    let out = PathBuf::from(args.required("out")?);
+    let input = args.get_required::<PathBuf>("input")?;
+    let out = args.get_required::<PathBuf>("out")?;
     let text = std::fs::read_to_string(&input).map_err(|e| e.to_string())?;
     let mut trace = SwfTrace::parse(&text).map_err(|e| e.to_string())?;
     let report = clean_trace(&mut trace);
@@ -180,7 +155,7 @@ fn clean_trace_cmd(args: &Args) -> Result<String, String> {
 }
 
 fn trace_stats(args: &Args) -> Result<String, String> {
-    let input = PathBuf::from(args.required("input")?);
+    let input = args.get_required::<PathBuf>("input")?;
     let text = std::fs::read_to_string(&input).map_err(|e| e.to_string())?;
     let trace = SwfTrace::parse(&text).map_err(|e| e.to_string())?;
     Ok(eavm_swf::TraceStats::of(&trace).render())
@@ -193,31 +168,23 @@ pub fn make_strategy(
     deadlines: [Seconds; 3],
     margin: f64,
 ) -> Result<Box<dyn AllocationStrategy>, String> {
-    let cpu_slots = 4;
-    Ok(match name {
-        "ff" => Box::new(FirstFit::ff(cpu_slots)),
-        "ff2" => Box::new(FirstFit::with_multiplex(cpu_slots, 2)),
-        "ff3" => Box::new(FirstFit::with_multiplex(cpu_slots, 3)),
-        "bf" => Box::new(BestFit::bf(cpu_slots)),
-        "bf2" => Box::new(BestFit::with_multiplex(cpu_slots, 2)),
-        "bf3" => Box::new(BestFit::with_multiplex(cpu_slots, 3)),
-        other => {
-            let alpha = match other {
-                "pa0" => 0.0,
-                "pa05" => 0.5,
-                "pa1" => 1.0,
-                _ => other
-                    .strip_prefix("pa:")
-                    .ok_or_else(|| format!("unknown strategy {other:?}"))?
-                    .parse::<f64>()
-                    .map_err(|e| format!("bad alpha in {other:?}: {e}"))?,
-            };
-            let goal = OptimizationGoal::new(alpha).map_err(|e| e.to_string())?;
-            Box::new(
-                Proactive::new(DbModel::new(db.clone()), goal, deadlines).with_qos_margin(margin),
-            )
-        }
-    })
+    if let Some(baseline) = eavm_core::baseline(name) {
+        return Ok(baseline);
+    }
+    let alpha = match name {
+        "pa0" => 0.0,
+        "pa05" => 0.5,
+        "pa1" => 1.0,
+        _ => name
+            .strip_prefix("pa:")
+            .ok_or_else(|| format!("unknown strategy {name:?}"))?
+            .parse::<f64>()
+            .map_err(|e| format!("bad alpha in {name:?}: {e}"))?,
+    };
+    let goal = OptimizationGoal::new(alpha).map_err(|e| e.to_string())?;
+    Ok(Box::new(
+        Proactive::new(DbModel::new(db.clone()), goal, deadlines).with_qos_margin(margin),
+    ))
 }
 
 /// Shared front matter of `simulate` / `serve` / `replay-online`: load
@@ -226,27 +193,20 @@ pub fn make_strategy(
 fn load_workload(
     args: &Args,
 ) -> Result<(ModelDatabase, Vec<eavm_swf::VmRequest>, [Seconds; 3]), String> {
-    let db_dir = PathBuf::from(args.required("db-dir")?);
-    let trace_path = PathBuf::from(args.required("trace")?);
+    let db_dir = args.get_required::<PathBuf>("db-dir")?;
+    let trace_path = args.get_required::<PathBuf>("trace")?;
     let vm_cap: u32 = args.get_or("vms", 10_000)?;
     let seed: u64 = args.get_or("seed", 0xE6EE)?;
     let qos: f64 = args.get_or("qos", 3.0)?;
 
-    let (dbp, auxp) = db_paths(&db_dir);
-    let db = ModelDatabase::load(&dbp, &auxp).map_err(|e| e.to_string())?;
-
+    let db = load_db(&db_dir)?;
     let text = std::fs::read_to_string(&trace_path).map_err(|e| e.to_string())?;
     let mut trace = SwfTrace::parse(&text).map_err(|e| e.to_string())?;
     clean_trace(&mut trace);
 
-    let solo = [
-        db.aux().solo_time(WorkloadType::Cpu),
-        db.aux().solo_time(WorkloadType::Mem),
-        db.aux().solo_time(WorkloadType::Io),
-    ];
     let adapt_cfg = AdaptConfig {
         qos_factor: qos,
-        ..AdaptConfig::paper(seed, solo)
+        ..AdaptConfig::paper(seed, db.aux().solo_times)
     };
     adapt_cfg.validate()?;
     let mut requests = adapt_trace(&trace, &adapt_cfg);
@@ -255,23 +215,8 @@ fn load_workload(
         return Err("no requests after cleaning/adaptation".into());
     }
 
-    let deadlines = [
-        adapt_cfg.deadline(WorkloadType::Cpu),
-        adapt_cfg.deadline(WorkloadType::Mem),
-        adapt_cfg.deadline(WorkloadType::Io),
-    ];
+    let deadlines = WorkloadType::ALL.map(|ty| adapt_cfg.deadline(ty));
     Ok((db, requests, deadlines))
-}
-
-/// Parse the chaos knobs shared by `simulate` and `replay-online` into
-/// the host-level plan (see [`ChaosFlags::host_plan`]). Returns `None`
-/// when no rate (or a zero rate) was given.
-fn fault_plan(
-    args: &Args,
-    hosts: usize,
-    requests: &[eavm_swf::VmRequest],
-) -> Result<Option<(u64, f64, FaultPlan)>, String> {
-    Ok(ChaosFlags::from_args(args)?.host_plan(hosts, requests))
 }
 
 /// The one chaos summary line printed whenever a fault plan is armed.
@@ -308,11 +253,11 @@ fn render_conservation(out: &SimOutcome, requests: &[eavm_swf::VmRequest]) -> St
 }
 
 fn simulate(args: &Args) -> Result<String, String> {
-    let strategy_name = args.required("strategy")?;
+    let strategy_name: String = args.get_required("strategy")?;
     let servers: usize = args.get_required("servers")?;
     let margin: f64 = args.get_or("margin", 0.65)?;
     let (db, requests, deadlines) = load_workload(args)?;
-    let mut strategy = make_strategy(strategy_name, &db, deadlines, margin)?;
+    let mut strategy = make_strategy(&strategy_name, &db, deadlines, margin)?;
     let cloud = CloudConfig::new("CLI", servers).map_err(|e| e.to_string())?;
     let mut sim = Simulation::new(AnalyticModel::reference(), cloud);
     let big_nodes: usize = args.get_or("big-nodes", 0)?;
@@ -334,7 +279,7 @@ fn simulate(args: &Args) -> Result<String, String> {
     if args.flag("always-on") {
         sim = sim.with_always_on_fleet();
     }
-    let timeline_out = args.optional_path("timeline-out");
+    let timeline_out = args.get_optional::<PathBuf>("timeline-out")?;
     if timeline_out.is_some() {
         sim = sim.with_timeline();
     }
@@ -349,7 +294,7 @@ fn simulate(args: &Args) -> Result<String, String> {
             ..MigrationConfig::default()
         });
     }
-    let chaos = fault_plan(args, servers + big_nodes, &requests)?;
+    let chaos = ChaosFlags::from_args(args)?.host_plan(servers + big_nodes, &requests);
     if let Some((_, _, plan)) = &chaos {
         sim = sim.with_faults(plan.clone());
     }
@@ -395,7 +340,7 @@ fn render_cache(cache: &CacheStats) -> String {
 /// write the registry snapshot to the file and return a one-line note
 /// for stdout (empty when no export was requested).
 fn export_metrics(args: &Args, telemetry: &Telemetry) -> Result<String, String> {
-    let Some(path) = args.optional_path("metrics-out") else {
+    let Some(path) = args.get_optional::<PathBuf>("metrics-out")? else {
         return Ok(String::new());
     };
     let format: String = args.get_or("metrics-format", "prometheus".to_string())?;
@@ -433,78 +378,54 @@ fn render_outcome(out: &SimOutcome, requests: &[eavm_swf::VmRequest]) -> String 
 /// consolidation knobs shared by `simulate`, `serve`, and `recover`.
 /// Returns `(interval, threshold)` when sweeps are enabled.
 fn consolidation_flags(args: &Args) -> Result<Option<(f64, u32)>, String> {
-    let every = args.get_optional::<f64>("consolidate-every")?;
-    let threshold = args.get_optional::<u32>("drain-threshold")?;
-    match every {
-        Some(every) => {
-            if !every.is_finite() || every <= 0.0 {
-                return Err("--consolidate-every must be positive".into());
-            }
-            let threshold = threshold.unwrap_or(2);
-            if threshold == 0 {
-                return Err("--drain-threshold must be nonzero".into());
-            }
-            Ok(Some((every, threshold)))
-        }
-        None => {
-            if threshold.is_some() {
-                return Err("--drain-threshold needs --consolidate-every".into());
-            }
-            Ok(None)
-        }
+    let Some(every) = args.get_optional::<f64>("consolidate-every")? else {
+        return Ok(None);
+    };
+    if !every.is_finite() || every <= 0.0 {
+        return Err("--consolidate-every must be positive".into());
     }
+    let threshold = args.get_or::<u32>("drain-threshold", 2)?;
+    if threshold == 0 {
+        return Err("--drain-threshold must be nonzero".into());
+    }
+    Ok(Some((every, threshold)))
 }
 
 /// Honour the overload-plane knobs shared by `serve` and `recover`:
 /// `--overload` arms the adaptive plane (AIMD limits, CoDel queue
 /// aging, brownout ladder, model circuit breaker); the value flags
-/// tune it and are rejected without `--overload`, so a forgotten
-/// switch fails loudly instead of silently running uncontrolled.
+/// tune it, and the flag table rejects them without `--overload`.
 fn overload_flags(args: &Args) -> Result<Option<eavm_overload::OverloadConfig>, String> {
-    let cut = args.get_optional::<f64>("overload-cut")?;
-    let limit_max = args.get_optional::<f64>("limit-max")?;
-    let target = args.get_optional::<f64>("queue-target")?;
-    let interval = args.get_optional::<f64>("queue-interval")?;
-    let breaker_rate = args.get_optional::<f64>("breaker-rate")?;
-    let breaker_seed = args.get_optional::<u64>("breaker-seed")?;
     if !args.flag("overload") {
-        if cut.is_some()
-            || limit_max.is_some()
-            || target.is_some()
-            || interval.is_some()
-            || breaker_rate.is_some()
-            || breaker_seed.is_some()
-        {
-            return Err("overload tuning flags need --overload".into());
-        }
         return Ok(None);
     }
     let mut config = eavm_overload::OverloadConfig::default();
-    if let Some(cut) = cut {
+    if let Some(cut) = args.get_optional::<f64>("overload-cut")? {
         if !(cut > 0.0 && cut < 1.0) {
             return Err(format!("--overload-cut must be within (0, 1), got {cut}"));
         }
         config.multiplicative_cut = cut;
     }
-    if let Some(limit_max) = limit_max {
+    if let Some(limit_max) = args.get_optional::<f64>("limit-max")? {
         if !limit_max.is_finite() || limit_max < 1.0 {
             return Err(format!("--limit-max must be at least 1, got {limit_max}"));
         }
         config.max_limit = limit_max;
     }
-    if let Some(target) = target {
+    if let Some(target) = args.get_optional::<f64>("queue-target")? {
         if !target.is_finite() || target <= 0.0 {
             return Err("--queue-target must be positive".into());
         }
         config.queue_target = target;
     }
-    if let Some(interval) = interval {
+    if let Some(interval) = args.get_optional::<f64>("queue-interval")? {
         if !interval.is_finite() || interval <= 0.0 {
             return Err("--queue-interval must be positive".into());
         }
         config.queue_interval = interval;
     }
-    if breaker_rate.is_some() || breaker_seed.is_some() {
+    let breaker_seed = args.get_optional::<u64>("breaker-seed")?;
+    if breaker_seed.is_some() || args.get_optional::<f64>("breaker-rate")?.is_some() {
         let rate = args.fraction_or("breaker-rate", 0.0)?;
         config = config.with_breaker_stream(breaker_seed.unwrap_or(0), rate);
     }
@@ -521,12 +442,12 @@ fn overload_flags(args: &Args) -> Result<Option<eavm_overload::OverloadConfig>, 
 /// bound.
 fn service_config(
     args: &Args,
-    shards: usize,
-    servers: usize,
     deadlines: [Seconds; 3],
     os_bounds: eavm_types::MixVector,
     telemetry: &Arc<Telemetry>,
 ) -> Result<eavm_service::ServiceConfig, String> {
+    let servers: usize = args.get_required("servers")?;
+    let shards: usize = args.get_or("shards", 4)?;
     let margin: f64 = args.get_or("margin", 0.65)?;
     let alpha: f64 = args.get_or("alpha", 0.5)?;
     let mut config =
@@ -549,8 +470,8 @@ fn service_config(
     // per-shard limits, queue-age shedding, brownout ladder, breaker.
     config.overload = overload_flags(args)?;
     // Chaos knobs (shared parsing in [`ChaosFlags`]): `--fault-rate`
-    // arms transient model-lookup failures (same seeding as the
-    // simulator's plan), `--kill-shard N` kills worker N after
+    // arms transient model-lookup failures (the simulator plan's
+    // predicate for the same seed), `--kill-shard N` kills worker N after
     // `--kill-after M` served messages to exercise the supervised
     // respawn path end to end.
     let chaos = ChaosFlags::from_args(args)?;
@@ -566,47 +487,35 @@ fn service_config(
     // The storage-fault family (torn appends, bit rot, ENOSPC, dropped
     // syncs, failed renames) arms the journal's storage backend, and
     // `--scrub` repairs the directory before recovery replays it.
-    match args.optional_path("journal-dir") {
-        Some(dir) => {
-            if dir.is_file() {
-                return Err(format!(
-                    "--journal-dir {}: exists and is a file, not a directory",
-                    dir.display()
-                ));
-            }
-            let retries = args
-                .nonzero_or("append-retries", 2)?
-                .min(u64::from(u32::MAX)) as u32;
-            let mut durability = DurabilityConfig::new(dir)
-                .with_checkpoint_every(args.nonzero_or("checkpoint-every", 256)?)
-                .with_append_retries(retries);
-            if let Some(after) = args.get_optional::<u64>("crash-after-events")? {
-                if after == 0 {
-                    return Err("--crash-after-events must be nonzero".into());
-                }
-                durability = durability.with_crash(CrashSchedule::after_events(after));
-            }
-            if let Some(faults) = storage_fault_flags(args)? {
-                durability = durability.with_storage_faults(faults);
-            }
-            if args.flag("scrub") {
-                durability = durability.with_scrub_on_recover();
-            }
-            config = config.with_durability(durability);
-        }
-        None => {
-            if args.get_optional::<u64>("crash-after-events")?.is_some() {
-                return Err("--crash-after-events needs --journal-dir".into());
-            }
-            if args.get_optional::<u64>("append-retries")?.is_some() {
-                return Err("--append-retries needs --journal-dir".into());
-            }
-            if storage_fault_flags(args)?.is_some() {
-                return Err("storage fault injection needs --journal-dir".into());
-            }
-        }
+    // The flag table rejects every durability flag without a journal.
+    let Some(dir) = args.get_optional::<PathBuf>("journal-dir")? else {
+        return Ok(config);
+    };
+    if dir.is_file() {
+        return Err(format!(
+            "--journal-dir {}: exists and is a file, not a directory",
+            dir.display()
+        ));
     }
-    Ok(config)
+    let retries = args
+        .nonzero_or("append-retries", 2)?
+        .min(u64::from(u32::MAX)) as u32;
+    let mut durability = DurabilityConfig::new(dir)
+        .with_checkpoint_every(args.nonzero_or("checkpoint-every", 256)?)
+        .with_append_retries(retries);
+    if let Some(after) = args.get_optional::<u64>("crash-after-events")? {
+        if after == 0 {
+            return Err("--crash-after-events must be nonzero".into());
+        }
+        durability = durability.with_crash(CrashSchedule::after_events(after));
+    }
+    if let Some(faults) = storage_fault_flags(args)? {
+        durability = durability.with_storage_faults(faults);
+    }
+    if args.flag("scrub") {
+        durability = durability.with_scrub_on_recover();
+    }
+    Ok(config.with_durability(durability))
 }
 
 /// Honour `--verdicts-out FILE`: write the ticket-ordered verdict log.
@@ -614,10 +523,10 @@ fn service_config(
 /// canonical record, crash-surviving); otherwise it comes from the live
 /// verdict stream. The two agree byte for byte on an uncrashed run.
 fn export_verdicts(args: &Args, report: &ReplayReport) -> Result<String, String> {
-    let Some(path) = args.optional_path("verdicts-out") else {
+    let Some(path) = args.get_optional::<PathBuf>("verdicts-out")? else {
         return Ok(String::new());
     };
-    let mut lines: Vec<(u64, String)> = match args.optional_path("journal-dir") {
+    let mut lines: Vec<(u64, String)> = match args.get_optional::<PathBuf>("journal-dir")? {
         Some(dir) => eavm_durability::recover_dir(&dir)
             .map_err(|e| e.to_string())?
             .verdict_lines(),
@@ -638,6 +547,30 @@ fn export_verdicts(args: &Args, report: &ReplayReport) -> Result<String, String>
         lines.len(),
         path.display()
     ))
+}
+
+/// The admitted, shed and per-class lines `serve` and `recover` share;
+/// only `serve` has an admission queue to shed from.
+fn render_verdict_counts(s: &eavm_service::ServiceStats, admission: Option<u64>) -> String {
+    let admission = admission.map_or(String::new(), |n| format!("admission={n} "));
+    let [sb, ss, si] = s.submitted_class;
+    let [ab, as_, ai] = s.admitted_class;
+    format!(
+        "admitted: local={} cross-shard={} after-wait={}\n\
+         shed: {admission}wait-queue={} unplaceable={} shard-failure={} storage-degraded={} \
+         queue-aged={} brownout-class={}\n\
+         classes: submitted-batch={sb} submitted-standard={ss} submitted-interactive={si} \
+         admitted-batch={ab} admitted-standard={as_} admitted-interactive={ai}\n",
+        s.admitted_local,
+        s.admitted_cross_shard,
+        s.admitted_after_wait,
+        s.shed_wait_queue,
+        s.shed_unplaceable,
+        s.shed_shard_failure,
+        s.shed_storage_degraded,
+        s.shed_queue_aged,
+        s.shed_brownout_class,
+    )
 }
 
 /// The overload-plane summary line, printed only when `--overload`
@@ -708,18 +641,10 @@ fn render_durability(s: &eavm_service::ServiceStats) -> String {
 /// Run the trace through the live concurrent service
 /// ([`eavm_service::AllocService`]) and report its counters.
 fn serve(args: &Args) -> Result<String, String> {
-    let servers: usize = args.get_required("servers")?;
-    let shards: usize = args.get_or("shards", 4)?;
     let (db, requests, deadlines) = load_workload(args)?;
     let telemetry = Telemetry::new();
-    let config = service_config(
-        args,
-        shards,
-        servers,
-        deadlines,
-        db.aux().os_bounds,
-        &telemetry,
-    )?;
+    let config = service_config(args, deadlines, db.aux().os_bounds, &telemetry)?;
+    let (shards, servers) = (config.shards, config.servers);
     let journaled = config.durability.is_some();
 
     // eavm-lint: allow(D1, reason = "wall-clock throughput figure for the operator summary line; no simulated or replayed state reads it")
@@ -760,11 +685,7 @@ fn serve(args: &Args) -> Result<String, String> {
     };
     let mut output = format!(
         "service: shards={shards} servers={servers} requests={} vms={}\n\
-         admitted: local={} cross-shard={} after-wait={}\n\
-         shed: admission={} wait-queue={} unplaceable={} shard-failure={} storage-degraded={} \
-queue-aged={} brownout-class={}\n\
-         classes: submitted-batch={} submitted-standard={} submitted-interactive={} \
-admitted-batch={} admitted-standard={} admitted-interactive={}\n\
+         {}\
          faults: shard-failures={} respawns={} requeued={} model-fallbacks={}\n\
          {}\
          {}\
@@ -773,22 +694,7 @@ admitted-batch={} admitted-standard={} admitted-interactive={}\n\
          wall-time={elapsed:.3}s throughput={throughput:.0} req/s\n",
         report.requests,
         report.vms,
-        s.admitted_local,
-        s.admitted_cross_shard,
-        s.admitted_after_wait,
-        s.shed_admission,
-        s.shed_wait_queue,
-        s.shed_unplaceable,
-        s.shed_shard_failure,
-        s.shed_storage_degraded,
-        s.shed_queue_aged,
-        s.shed_brownout_class,
-        s.submitted_class[0],
-        s.submitted_class[1],
-        s.submitted_class[2],
-        s.admitted_class[0],
-        s.admitted_class[1],
-        s.admitted_class[2],
+        render_verdict_counts(s, Some(s.shed_admission)),
         s.shard_failures,
         s.shard_respawns,
         s.requeued,
@@ -821,21 +727,9 @@ admitted-batch={} admitted-standard={} admitted-interactive={}\n\
 /// The reconstructed verdict log is byte-identical to an uncrashed
 /// paced run over the same trace.
 fn recover(args: &Args) -> Result<String, String> {
-    let servers: usize = args.get_required("servers")?;
-    let shards: usize = args.get_or("shards", 4)?;
     let (db, requests, deadlines) = load_workload(args)?;
-    if args.optional_path("journal-dir").is_none() {
-        return Err("recover needs --journal-dir".into());
-    }
     let telemetry = Telemetry::new();
-    let config = service_config(
-        args,
-        shards,
-        servers,
-        deadlines,
-        db.aux().os_bounds,
-        &telemetry,
-    )?;
+    let config = service_config(args, deadlines, db.aux().os_bounds, &telemetry)?;
 
     let (service, recovery) =
         eavm_service::AllocService::recover(db, config).map_err(|e| e.to_string())?;
@@ -857,30 +751,12 @@ fn recover(args: &Args) -> Result<String, String> {
     let s = &report.stats;
     let mut output = format!(
         "{}\nresubmitted: {} of {} trace requests\n\
-         admitted: local={} cross-shard={} after-wait={}\n\
-         shed: wait-queue={} unplaceable={} shard-failure={} storage-degraded={} \
-queue-aged={} brownout-class={}\n\
-         classes: submitted-batch={} submitted-standard={} submitted-interactive={} \
-admitted-batch={} admitted-standard={} admitted-interactive={}\n\
+         {}\
          virtual-makespan={:.0}s estimated-energy={:.3e}J\n",
         recovery.summary(),
         requests.len() - resume_from,
         requests.len(),
-        s.admitted_local,
-        s.admitted_cross_shard,
-        s.admitted_after_wait,
-        s.shed_wait_queue,
-        s.shed_unplaceable,
-        s.shed_shard_failure,
-        s.shed_storage_degraded,
-        s.shed_queue_aged,
-        s.shed_brownout_class,
-        s.submitted_class[0],
-        s.submitted_class[1],
-        s.submitted_class[2],
-        s.admitted_class[0],
-        s.admitted_class[1],
-        s.admitted_class[2],
+        render_verdict_counts(s, None),
         s.virtual_now.value(),
         s.estimated_energy.value(),
     );
@@ -898,9 +774,7 @@ admitted-batch={} admitted-standard={} admitted-interactive={}\n\
 /// one. The report is deterministic — same directory bytes, same
 /// output — which is what the CI corruption drill `cmp`s.
 fn scrub_cmd(args: &Args) -> Result<String, String> {
-    let dir = args
-        .optional_path("journal-dir")
-        .ok_or("scrub needs --journal-dir")?;
+    let dir = args.get_required::<PathBuf>("journal-dir")?;
     if !dir.is_dir() {
         return Err(format!("--journal-dir {}: not a directory", dir.display()));
     }
@@ -913,15 +787,13 @@ fn scrub_cmd(args: &Args) -> Result<String, String> {
 /// bytes, so two copies of the same journal corrupted with the same
 /// seed end up byte-identical (and scrub to identical reports).
 fn corrupt_cmd(args: &Args) -> Result<String, String> {
-    let dir = args
-        .optional_path("journal-dir")
-        .ok_or("corrupt needs --journal-dir")?;
-    let kind = args.required("kind")?;
+    let dir = args.get_required::<PathBuf>("journal-dir")?;
+    let kind: String = args.get_required("kind")?;
     let mut rng = eavm_storage::SplitMix64::new(args.get_or("seed", 0xC0FF)?);
     let read = |p: &Path| std::fs::read(p).map_err(|e| format!("{}: {e}", p.display()));
     let write =
         |p: &Path, raw: &[u8]| std::fs::write(p, raw).map_err(|e| format!("{}: {e}", p.display()));
-    match kind {
+    match kind.as_str() {
         // Flip one seeded bit in the newest snapshot: its CRC no longer
         // matches, so scrub must quarantine it and fall back.
         "snapshot-bit-flip" => {
@@ -995,7 +867,7 @@ fn replay_online_cmd(args: &Args) -> Result<String, String> {
     let mut config = eavm_service::DeterministicConfig::new(goal, deadlines)
         .with_telemetry(Arc::clone(&telemetry));
     config.qos_margin = margin;
-    let chaos = fault_plan(args, servers, &requests)?;
+    let chaos = ChaosFlags::from_args(args)?.host_plan(servers, &requests);
     if let Some((_, _, plan)) = &chaos {
         config = config.with_faults(plan.clone());
     }
@@ -1023,13 +895,8 @@ fn replay_online_cmd(args: &Args) -> Result<String, String> {
 }
 
 fn db_diff(args: &Args) -> Result<String, String> {
-    let load = |key: &str| -> Result<ModelDatabase, String> {
-        let dir = PathBuf::from(args.required(key)?);
-        let (dbp, auxp) = db_paths(&dir);
-        ModelDatabase::load(&dbp, &auxp).map_err(|e| e.to_string())
-    };
-    let left = load("left")?;
-    let right = load("right")?;
+    let left = load_db(&args.get_required::<PathBuf>("left")?)?;
+    let right = load_db(&args.get_required::<PathBuf>("right")?)?;
     let diff = eavm_benchdb::DbDiff::between(&left, &right);
     let tolerance: f64 = args.get_or("tolerance", 0.02)?;
     Ok(format!(
@@ -1040,9 +907,7 @@ fn db_diff(args: &Args) -> Result<String, String> {
 }
 
 fn info(args: &Args) -> Result<String, String> {
-    let db_dir = PathBuf::from(args.required("db-dir")?);
-    let (dbp, auxp) = db_paths(&db_dir);
-    let db = ModelDatabase::load(&dbp, &auxp).map_err(|e| e.to_string())?;
+    let db = load_db(&args.get_required::<PathBuf>("db-dir")?)?;
     Ok(format!("registers: {}\n{}", db.len(), db.aux().to_text()))
 }
 
@@ -1053,9 +918,7 @@ fn info(args: &Args) -> Result<String, String> {
 /// `Err`, which exits nonzero — the mode CI runs between clippy and
 /// the chaos smoke.
 fn lint(args: &Args) -> Result<String, String> {
-    let root = args
-        .optional_path("root")
-        .unwrap_or_else(|| PathBuf::from("."));
+    let root = args.get_or("root", PathBuf::from("."))?;
     let format: String = args.get_or("format", "text".to_string())?;
     // Validate both the format and the rule list up front, so a typo
     // is a structured error before the scan spends time on 140 files.
@@ -1088,35 +951,15 @@ fn lint(args: &Args) -> Result<String, String> {
     Ok(rendered)
 }
 
-/// `scenario check FILE` / `scenario run FILE [flags]`. The action and
-/// file are positionals peeled off in [`dispatch`]; the remaining
-/// tokens are ordinary `--flag` options (chaos overrides, `--db-dir`,
-/// `--out`).
-fn scenario_cmd(rest: &[String]) -> Result<String, String> {
-    const USAGE: &str = "usage: eavm-cli scenario run|check FILE [--db-dir DIR] \
-                         [--threads N] [--out FILE] [--fault-seed N] [--fault-rate F] \
-                         [--kill-shard N] [--kill-after M]";
-    let (action, file, flags) = match rest {
-        [action, file, flags @ ..] if !action.starts_with("--") && !file.starts_with("--") => {
-            (action.as_str(), PathBuf::from(file), flags)
-        }
-        _ => return Err(USAGE.into()),
-    };
-    let mut argv = vec!["scenario".to_string()];
-    argv.extend(flags.iter().cloned());
-    let args = Args::parse(&argv)?;
-
-    let text = std::fs::read_to_string(&file).map_err(|e| format!("{}: {e}", file.display()))?;
+/// Parse the scenario `file` (a positional peeled off in [`dispatch`])
+/// and overlay the command line's chaos flags.
+fn load_scenario(args: &Args, file: &Path) -> Result<eavm_scenario::ScenarioSpec, String> {
+    let text = std::fs::read_to_string(file).map_err(|e| format!("{}: {e}", file.display()))?;
     let mut spec =
         eavm_scenario::parse_scenario(&text).map_err(|e| format!("{}: {e}", file.display()))?;
     // Command-line chaos flags overlay the file's [faults] section.
-    ChaosFlags::from_args(&args)?.apply_to_spec(&mut spec)?;
-
-    match action {
-        "check" => Ok(render_scenario_check(&spec)),
-        "run" => scenario_run(&args, &spec),
-        other => Err(format!("unknown scenario action {other:?}\n{USAGE}")),
-    }
+    ChaosFlags::from_args(args)?.apply_to_spec(&mut spec)?;
+    Ok(spec)
 }
 
 /// The `scenario check` report: the validated shape of the scenario,
@@ -1170,11 +1013,8 @@ fn render_scenario_check(spec: &eavm_scenario::ScenarioSpec) -> String {
 /// when no database is given — the exact (meter-free) model built in
 /// process, which is deterministic and keeps runs reproducible.
 fn scenario_run(args: &Args, spec: &eavm_scenario::ScenarioSpec) -> Result<String, String> {
-    let db = match args.optional_path("db-dir") {
-        Some(dir) => {
-            let (dbp, auxp) = db_paths(&dir);
-            ModelDatabase::load(&dbp, &auxp).map_err(|e| e.to_string())?
-        }
+    let db = match args.get_optional::<PathBuf>("db-dir")? {
+        Some(dir) => load_db(&dir)?,
         None => {
             let threads: usize = args.get_or("threads", 1)?;
             DbBuilder::exact()
@@ -1184,7 +1024,7 @@ fn scenario_run(args: &Args, spec: &eavm_scenario::ScenarioSpec) -> Result<Strin
     };
     let outcome = eavm_scenario::run_scenario(spec, &db)?;
     let csv = outcome.to_csv();
-    match args.optional_path("out") {
+    match args.get_optional::<PathBuf>("out")? {
         Some(path) => {
             std::fs::write(&path, &csv).map_err(|e| e.to_string())?;
             let total = outcome.total();
@@ -1934,7 +1774,6 @@ mod tests {
             "2",
             "--vms",
             "100",
-            "--paced",
             "--checkpoint-every",
             "8",
             "--journal-dir",
@@ -2112,19 +1951,27 @@ crash_rate = 0.4
         assert!(run(&["info", "--db-dir", "/nonexistent/path"]).is_err());
     }
 
-    fn parse(tokens: &[&str]) -> Args {
-        let v: Vec<String> = tokens.iter().map(|s| s.to_string()).collect();
-        Args::parse(&v).unwrap()
+    /// `serve` with its three required flags plus `extra`.
+    fn try_parse(extra: &[&str]) -> Result<Args, String> {
+        let mut v: Vec<String> = ["--db-dir", "db", "--trace", "t.swf", "--servers", "8"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        v.extend(extra.iter().map(|s| s.to_string()));
+        Args::parse(args::command("serve").unwrap(), &v)
+    }
+
+    fn parse(extra: &[&str]) -> Args {
+        try_parse(extra).unwrap()
     }
 
     #[test]
     fn overload_flags_are_validated_up_front() {
         // Tuning flags without the arming switch fail loudly.
-        let err = overload_flags(&parse(&["serve", "--overload-cut", "0.4"])).unwrap_err();
-        assert!(err.contains("--overload"), "{err}");
+        let err = try_parse(&["--overload-cut", "0.4"]).unwrap_err();
+        assert!(err.contains("--overload-cut needs --overload"), "{err}");
         // The armed plane picks up every tuning value.
         let cfg = overload_flags(&parse(&[
-            "serve",
             "--overload",
             "--overload-cut",
             "0.4",
@@ -2148,22 +1995,16 @@ crash_rate = 0.4
         assert_eq!(cfg.breaker_rate, 0.1);
         assert_eq!(cfg.breaker_seed, 7);
         // Bare `--overload` arms the defaults.
-        assert!(overload_flags(&parse(&["serve", "--overload"]))
-            .unwrap()
-            .is_some());
-        assert!(overload_flags(&parse(&["serve"])).unwrap().is_none());
+        assert!(overload_flags(&parse(&["--overload"])).unwrap().is_some());
+        assert!(overload_flags(&parse(&[])).unwrap().is_none());
         // Domain checks reject out-of-range knobs.
-        let err =
-            overload_flags(&parse(&["serve", "--overload", "--overload-cut", "1.0"])).unwrap_err();
+        let err = overload_flags(&parse(&["--overload", "--overload-cut", "1.0"])).unwrap_err();
         assert!(err.contains("(0, 1)"), "{err}");
-        let err =
-            overload_flags(&parse(&["serve", "--overload", "--queue-target", "0"])).unwrap_err();
+        let err = overload_flags(&parse(&["--overload", "--queue-target", "0"])).unwrap_err();
         assert!(err.contains("positive"), "{err}");
-        let err =
-            overload_flags(&parse(&["serve", "--overload", "--limit-max", "0.5"])).unwrap_err();
+        let err = overload_flags(&parse(&["--overload", "--limit-max", "0.5"])).unwrap_err();
         assert!(err.contains("at least 1"), "{err}");
-        let err =
-            overload_flags(&parse(&["serve", "--overload", "--breaker-rate", "1.5"])).unwrap_err();
+        let err = overload_flags(&parse(&["--overload", "--breaker-rate", "1.5"])).unwrap_err();
         assert!(err.contains("[0, 1]"), "{err}");
     }
 
@@ -2174,9 +2015,7 @@ crash_rate = 0.4
         let telemetry = Telemetry::new();
         let mk = |tokens: &[&str]| {
             service_config(
-                &parse(tokens),
-                2,
-                8,
+                &try_parse(tokens)?,
                 [Seconds(1e7); 3],
                 eavm_types::MixVector::new(4, 4, 4),
                 &telemetry,
@@ -2184,7 +2023,6 @@ crash_rate = 0.4
         };
         // Zero retries is rejected, matching --checkpoint-every 0.
         let err = mk(&[
-            "serve",
             "--journal-dir",
             jd.to_str().unwrap(),
             "--append-retries",
@@ -2196,7 +2034,6 @@ crash_rate = 0.4
             "{err}"
         );
         let err = mk(&[
-            "serve",
             "--journal-dir",
             jd.to_str().unwrap(),
             "--checkpoint-every",
@@ -2208,11 +2045,10 @@ crash_rate = 0.4
             "{err}"
         );
         // The knob needs a journal to retry into.
-        let err = mk(&["serve", "--append-retries", "3"]).unwrap_err();
+        let err = mk(&["--append-retries", "3"]).unwrap_err();
         assert!(err.contains("--journal-dir"), "{err}");
         // A valid count lands in the durability config.
         let config = mk(&[
-            "serve",
             "--journal-dir",
             jd.to_str().unwrap(),
             "--append-retries",
@@ -2220,5 +2056,95 @@ crash_rate = 0.4
         ])
         .unwrap();
         assert_eq!(config.durability.unwrap().append_retries, 5);
+    }
+
+    /// The error `command` (given its required workload flags plus
+    /// `extra`) fails with before it touches any file.
+    fn parse_error(command: &str, extra: &[&str]) -> String {
+        let mut argv = vec![
+            command,
+            "--db-dir",
+            "db",
+            "--trace",
+            "t.swf",
+            "--servers",
+            "8",
+        ];
+        argv.extend(extra);
+        run(&argv).expect_err("must be rejected")
+    }
+
+    #[test]
+    fn mistyped_flag_is_rejected() {
+        let err = parse_error("serve", &["--overlaod-cut", "0.3"]);
+        assert!(err.contains("unknown flag --overlaod-cut"), "{err}");
+        assert!(err.contains("[--overload-cut F]"), "usage missing: {err}");
+    }
+
+    #[test]
+    fn removed_cache_flag_says_it_was_removed() {
+        let err = parse_error("serve", &["--cache", "64"]);
+        assert!(err.contains("--cache was removed"), "{err}");
+    }
+
+    #[test]
+    fn value_flag_without_a_value_is_rejected() {
+        let err = parse_error("serve", &["--journal-dir"]);
+        assert!(err.contains("--journal-dir needs a value"), "{err}");
+    }
+
+    #[test]
+    fn switch_given_a_value_is_rejected() {
+        let err = parse_error("serve", &["--paced", "1"]);
+        assert!(err.contains("--paced is a switch"), "{err}");
+    }
+
+    #[test]
+    fn journal_flags_need_a_journal() {
+        let err = parse_error("serve", &["--checkpoint-every", "16"]);
+        assert!(
+            err.contains("--checkpoint-every needs --journal-dir"),
+            "{err}"
+        );
+        let err = parse_error("serve", &["--scrub"]);
+        assert!(err.contains("--scrub needs --journal-dir"), "{err}");
+    }
+
+    #[test]
+    fn metrics_format_needs_metrics_out() {
+        let err = parse_error("serve", &["--metrics-format", "json"]);
+        assert!(
+            err.contains("--metrics-format needs --metrics-out"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn replay_online_rejects_worker_kill_flags() {
+        let err = parse_error("replay-online", &["--kill-shard", "0"]);
+        assert!(err.contains("unknown flag --kill-shard"), "{err}");
+    }
+
+    #[test]
+    fn scenario_rejects_a_mistyped_flag() {
+        let err = run(&["scenario", "check", "s.eavm", "--fault-rat", "0.3"]).unwrap_err();
+        assert!(err.contains("unknown flag --fault-rat"), "{err}");
+    }
+
+    #[test]
+    fn help_lists_every_declared_flag() {
+        let help = run(&["help"]).unwrap();
+        for command in args::COMMANDS {
+            let usage = command.usage();
+            assert!(help.contains(&usage), "{} missing from help", command.name);
+            let words: Vec<&str> = usage
+                .split_whitespace()
+                .map(|w| w.trim_matches(['[', ']']))
+                .collect();
+            for flag in command.flags() {
+                let name = format!("--{}", flag.name);
+                assert!(words.contains(&name.as_str()), "{}: {name}", command.name);
+            }
+        }
     }
 }

@@ -1,16 +1,6 @@
 //! `eavm-cli` — command-line driver for the reproduction pipeline.
-//!
-//! ```text
-//! eavm-cli build-db    --out-dir DIR [--seed N] [--exact] [--threads N]
-//! eavm-cli gen-trace   --out FILE [--seed N] [--jobs N] [--burst-gap SECS]
-//! eavm-cli clean-trace --input FILE --out FILE
-//! eavm-cli simulate    --db-dir DIR --trace FILE --strategy NAME --servers N
-//!                      [--vms N] [--seed N] [--qos F] [--margin F] [--burst]
-//! eavm-cli info        --db-dir DIR
-//! ```
-//!
-//! Strategies: `ff`, `ff2`, `ff3`, `bf`, `bf2`, `bf3`, `pa0`, `pa05`,
-//! `pa1`, or `pa:<alpha>`.
+//! `eavm-cli help` prints every subcommand's flags, rendered from the
+//! tables in `args.rs`.
 
 #![forbid(unsafe_code)]
 

@@ -1,0 +1,54 @@
+//! The binary itself exits nonzero, with the offending flag on stderr,
+//! for every command line the flag tables reject.
+
+use std::process::Command;
+
+#[test]
+fn rejected_command_lines_exit_nonzero_naming_the_flag() {
+    let serve = [
+        "serve",
+        "--db-dir",
+        "db",
+        "--trace",
+        "t.swf",
+        "--servers",
+        "8",
+    ];
+    let cases: [(&[&str], &str); 7] = [
+        (&["--overlaod-cut", "0.3"], "--overlaod-cut"),
+        (&["--cache", "64"], "--cache was removed"),
+        (&["--journal-dir"], "--journal-dir"),
+        (&["--paced", "1"], "--paced"),
+        (
+            &["--checkpoint-every", "16"],
+            "--checkpoint-every needs --journal-dir",
+        ),
+        (&["--scrub"], "--scrub needs --journal-dir"),
+        (
+            &["--metrics-format", "json"],
+            "--metrics-format needs --metrics-out",
+        ),
+    ];
+    let mut argvs: Vec<(Vec<&str>, &str)> = cases
+        .iter()
+        .map(|(extra, expect)| (serve.iter().chain(*extra).copied().collect(), *expect))
+        .collect();
+    let mut replay = serve.to_vec();
+    replay[0] = "replay-online";
+    replay.extend(["--kill-shard", "0"]);
+    argvs.push((replay, "--kill-shard"));
+    argvs.push((
+        vec!["scenario", "check", "s.eavm", "--fault-rat", "0.3"],
+        "--fault-rat",
+    ));
+    for (argv, expect) in argvs {
+        let out = Command::new(env!("CARGO_BIN_EXE_eavm-cli"))
+            .args(&argv)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{argv:?} exited 0");
+        assert!(stderr.contains(expect), "{argv:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{argv:?} printed to stdout");
+    }
+}

@@ -14,6 +14,7 @@
 
 use eavm_types::{EavmError, MixVector};
 
+use crate::best_fit::BestFit;
 use crate::strategy::{AllocationStrategy, Placement, RequestView, ServerView};
 
 /// CPU-slot count of the paper's reference rack server (the quad-core
@@ -22,6 +23,25 @@ use crate::strategy::{AllocationStrategy, Placement, RequestView, ServerView};
 /// the reference machine propagates to every FF construction site.
 pub fn reference_cpu_slots() -> u32 {
     eavm_testbed::ServerSpec::reference_rack_server().cpu_slots()
+}
+
+/// The names of the six CPU-slot baselines: FIRST-FIT and BEST-FIT at
+/// multiplexing factors 1, 2 and 3.
+pub const BASELINE_NAMES: [&str; 6] = ["ff", "ff2", "ff3", "bf", "bf2", "bf3"];
+
+/// The baseline called `name` (one of [`BASELINE_NAMES`]) at
+/// [`reference_cpu_slots`], or `None` for any other name.
+pub fn baseline(name: &str) -> Option<Box<dyn AllocationStrategy>> {
+    let slots = reference_cpu_slots();
+    Some(match name {
+        "ff" => Box::new(FirstFit::ff(slots)),
+        "ff2" => Box::new(FirstFit::with_multiplex(slots, 2)),
+        "ff3" => Box::new(FirstFit::with_multiplex(slots, 3)),
+        "bf" => Box::new(BestFit::bf(slots)),
+        "bf2" => Box::new(BestFit::with_multiplex(slots, 2)),
+        "bf3" => Box::new(BestFit::with_multiplex(slots, 3)),
+        _ => return None,
+    })
 }
 
 /// CPU-slot-counting first fit with a multiplexing factor.
@@ -136,6 +156,16 @@ mod tests {
             eavm_testbed::ServerSpec::reference_rack_server().cpu_slots()
         );
         assert_eq!(reference_cpu_slots(), 4, "paper's Xeon X3220 is quad-core");
+    }
+
+    #[test]
+    fn every_baseline_name_resolves_and_nothing_else_does() {
+        let names: Vec<String> = BASELINE_NAMES
+            .iter()
+            .map(|n| baseline(n).expect("listed name resolves").name())
+            .collect();
+        assert_eq!(names, ["FF", "FF-2", "FF-3", "BF", "BF-2", "BF-3"]);
+        assert!(baseline("pa05").is_none() && baseline("FF").is_none());
     }
 
     #[test]

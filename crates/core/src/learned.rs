@@ -188,11 +188,7 @@ impl LearnedModel {
             energy_theta,
             time_r2,
             energy_r2,
-            solo_times: [
-                db.aux().solo_time(WorkloadType::Cpu),
-                db.aux().solo_time(WorkloadType::Mem),
-                db.aux().solo_time(WorkloadType::Io),
-            ],
+            solo_times: db.aux().solo_times,
             max_mix: db.aux().os_bounds,
             idle_power: Watts(125.0),
         })

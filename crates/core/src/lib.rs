@@ -46,7 +46,7 @@ pub mod resilient;
 pub mod strategy;
 
 pub use best_fit::BestFit;
-pub use first_fit::{reference_cpu_slots, FirstFit};
+pub use first_fit::{baseline, reference_cpu_slots, FirstFit, BASELINE_NAMES};
 pub use goal::OptimizationGoal;
 pub use model::{AllocationModel, AnalyticModel, DbModel, MixEstimate};
 pub use proactive::{PartitionCandidate, Proactive, SearchCaps, SearchMetrics};

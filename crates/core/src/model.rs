@@ -37,15 +37,6 @@ impl MixEstimate {
     pub fn time_of(&self, ty: WorkloadType) -> Option<Seconds> {
         self.per_type_time[ty.index()]
     }
-
-    /// The longest per-type execution time in the mix.
-    pub fn longest_time(&self) -> Seconds {
-        self.per_type_time
-            .iter()
-            .flatten()
-            .copied()
-            .fold(Seconds::ZERO, Seconds::max)
-    }
 }
 
 /// Per-server behaviour estimates keyed by the type-mix vector.
@@ -260,11 +251,7 @@ impl AnalyticModel {
         AnalyticModel {
             server,
             contention,
-            representatives: [
-                suite.representative(WorkloadType::Cpu).clone(),
-                suite.representative(WorkloadType::Mem).clone(),
-                suite.representative(WorkloadType::Io).clone(),
-            ],
+            representatives: WorkloadType::ALL.map(|ty| suite.representative(ty).clone()),
             max_mix,
         }
     }

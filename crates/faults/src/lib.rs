@@ -180,6 +180,15 @@ impl LookupFaults {
         LookupFaults { seed, threshold }
     }
 
+    /// The predicate a fault plan seeded with `seed` arms: the seed is
+    /// first mixed into its own stream, so lookup failures stay
+    /// independent of the host schedules drawn from the same seed. Every
+    /// surface that turns a chaos seed into lookup faults calls this, so
+    /// simulator, scenario and service runs fail the same lookups.
+    pub fn seeded(seed: u64, rate: f64) -> Self {
+        LookupFaults::new(mix64(seed ^ LOOKUP_STREAM), rate)
+    }
+
     /// A predicate that never fails — zero branch cost on the hot path.
     pub fn disabled() -> Self {
         LookupFaults {
@@ -228,6 +237,7 @@ impl Default for LookupFaults {
 const CRASH_STREAM: u64 = 0xC4A5_4001;
 const DEGRADE_STREAM: u64 = 0xDE64_4ADE;
 const DURATION_STREAM: u64 = 0xD0_4A71;
+const LOOKUP_STREAM: u64 = 0x100C;
 
 /// A fully materialized fault schedule for one fleet and horizon, plus
 /// the lookup-failure predicate derived from the same seed.
@@ -295,7 +305,7 @@ impl FaultPlan {
         events.sort_by(|a, b| a.at.total_cmp(&b.at).then(a.host.cmp(&b.host)));
         FaultPlan {
             events,
-            lookup: LookupFaults::new(mix64(cfg.seed ^ 0x100C), cfg.lookup_failure_rate),
+            lookup: LookupFaults::seeded(cfg.seed, cfg.lookup_failure_rate),
         }
     }
 

@@ -234,12 +234,7 @@ pub fn compile(spec: &ScenarioSpec, solo: [Seconds; 3]) -> Result<CompiledScenar
         request.id = JobId::from(i);
     }
 
-    // Same lookup-predicate seeding as FaultPlan::generate, so
-    // simulate- and service-mode lookups fail identically per seed.
-    let lookup = LookupFaults::new(
-        mix64(spec.faults.seed ^ 0x100C),
-        spec.faults.lookup_failure_rate,
-    );
+    let lookup = LookupFaults::seeded(spec.faults.seed, spec.faults.lookup_failure_rate);
     let fault_plan = FaultPlan::from_events(events, lookup);
     if spec.mode == Mode::Service {
         debug_assert!(fault_plan.events().is_empty());

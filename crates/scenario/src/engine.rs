@@ -23,8 +23,8 @@
 
 use eavm_benchdb::ModelDatabase;
 use eavm_core::{
-    AllocationStrategy, AnalyticModel, BestFit, DbModel, FirstFit, OptimizationGoal, Placement,
-    Proactive, RequestView, ServerView,
+    AllocationStrategy, AnalyticModel, DbModel, OptimizationGoal, Placement, Proactive,
+    RequestView, ServerView,
 };
 use eavm_faults::WorkerFaultPlan;
 use eavm_migrate::ConsolidationConfig;
@@ -32,7 +32,7 @@ use eavm_overload::OverloadConfig;
 use eavm_service::{drive_paced, AllocService, ServiceConfig, ServiceStats};
 use eavm_simulator::{CloudConfig, MigrationConfig, MigrationWindow, SimOutcome, Simulation};
 use eavm_telemetry::Telemetry;
-use eavm_types::{EavmError, Seconds, WorkloadType};
+use eavm_types::{EavmError, Seconds};
 
 use crate::compile::{compile, CompiledScenario};
 use crate::spec::{Mode, Policy, ScenarioSpec};
@@ -137,17 +137,10 @@ fn build_strategy(
     db: &ModelDatabase,
     deadlines: [Seconds; 3],
 ) -> Result<Box<dyn AllocationStrategy>, String> {
-    let cpu_slots = 4;
     Ok(match policy {
-        Policy::Named(name) => match name.as_str() {
-            "ff" => Box::new(FirstFit::ff(cpu_slots)),
-            "ff2" => Box::new(FirstFit::with_multiplex(cpu_slots, 2)),
-            "ff3" => Box::new(FirstFit::with_multiplex(cpu_slots, 3)),
-            "bf" => Box::new(BestFit::bf(cpu_slots)),
-            "bf2" => Box::new(BestFit::with_multiplex(cpu_slots, 2)),
-            "bf3" => Box::new(BestFit::with_multiplex(cpu_slots, 3)),
-            other => return Err(format!("unknown strategy {other:?}")),
-        },
+        Policy::Named(name) => {
+            eavm_core::baseline(name).ok_or_else(|| format!("unknown strategy {name:?}"))?
+        }
         Policy::Proactive { alpha } => {
             let goal = OptimizationGoal::new(*alpha).map_err(|e| e.to_string())?;
             Box::new(
@@ -217,22 +210,12 @@ impl AllocationStrategy for PhasedStrategy {
 /// Per-type deadlines of a scenario: `qos_factor ×` the model
 /// database's solo times.
 fn scenario_deadlines(spec: &ScenarioSpec, db: &ModelDatabase) -> [Seconds; 3] {
-    let aux = db.aux();
-    [
-        aux.solo_time(WorkloadType::Cpu) * spec.qos_factor,
-        aux.solo_time(WorkloadType::Mem) * spec.qos_factor,
-        aux.solo_time(WorkloadType::Io) * spec.qos_factor,
-    ]
+    solo_times(db).map(|solo| solo * spec.qos_factor)
 }
 
 /// The model database's solo times (the compiler's deadline basis).
 pub fn solo_times(db: &ModelDatabase) -> [Seconds; 3] {
-    let aux = db.aux();
-    [
-        aux.solo_time(WorkloadType::Cpu),
-        aux.solo_time(WorkloadType::Mem),
-        aux.solo_time(WorkloadType::Io),
-    ]
+    db.aux().solo_times
 }
 
 /// Compile and run a scenario against the right backend.

@@ -335,11 +335,9 @@ impl ScenarioSpec {
                 }
             }
             Policy::Named(name) => {
-                const NAMED: [&str; 6] = ["ff", "ff2", "ff3", "bf", "bf2", "bf3"];
-                if !NAMED.contains(&name.as_str()) {
-                    return Err(format!(
-                        "unknown strategy {name:?} (ff|ff2|ff3|bf|bf2|bf3, or alpha = F)"
-                    ));
+                if !eavm_core::BASELINE_NAMES.contains(&name.as_str()) {
+                    let names = eavm_core::BASELINE_NAMES.join("|");
+                    return Err(format!("unknown strategy {name:?} ({names}, or alpha = F)"));
                 }
             }
         }

@@ -134,11 +134,48 @@ cmp "$CHAOS_DIR/ctrl.log" "$CHAOS_DIR/rec.log" \
     || { echo "crash-loop smoke: recovered verdict log diverged"; \
          diff "$CHAOS_DIR/ctrl.log" "$CHAOS_DIR/rec.log" | head -20; exit 1; }
 
+echo "==> unpaced crash drill (recovery re-runs the journaled batches)"
+# An unpaced run batches whatever its mailbox holds, so no control run
+# can reproduce it. Recovery re-executes the journaled batches and
+# checks every frame against the disk, then drives the rest of the
+# trace paced: two recoveries of the same crashed journal must both
+# succeed and write the same verdict log. The trace holds 72 requests,
+# so a crash after 120 appends with no checkpoint yet leaves decision
+# frames in the WAL that recovery must re-derive (an uncrashed run
+# writes over 200).
+if "${CLI[@]}" serve --db-dir "$CHAOS_DIR/db" \
+    --trace "$CHAOS_DIR/t.swf" --servers 6 --shards 2 --vms 200 \
+    --journal-dir "$CHAOS_DIR/unpaced" --checkpoint-every 1000 \
+    --crash-after-events 120 > /dev/null 2>&1; then
+    echo "unpaced crash drill: the run finished before its crash point"; exit 1
+fi
+test -s "$CHAOS_DIR/unpaced/wal.log" \
+    || { echo "unpaced crash drill: crashed run left no WAL"; exit 1; }
+for side in a b; do
+    cp -r "$CHAOS_DIR/unpaced" "$CHAOS_DIR/unpaced-$side"
+    UNPACED_OUT="$("${CLI[@]}" recover --db-dir "$CHAOS_DIR/db" \
+        --trace "$CHAOS_DIR/t.swf" --servers 6 --shards 2 --vms 200 \
+        --journal-dir "$CHAOS_DIR/unpaced-$side" --checkpoint-every 1000 \
+        --verdicts-out "$CHAOS_DIR/unpaced-$side.log")" \
+        || { echo "unpaced crash drill: recover $side failed"; exit 1; }
+    # More frames replayed than submissions left open: some of the
+    # re-executed frames were decisions checked against the disk.
+    echo "$UNPACED_OUT" | awk '/^recovered / {
+            for (i = 1; i <= NF; i++) { split($i, kv, "="); v[kv[1]] = kv[2] }
+            ok = v["frames_replayed"] + 0 > v["resumed_inflight"] + 0
+        } END { exit !ok }' \
+        || { echo "unpaced crash drill: recovery verified no decision frame"; \
+             echo "$UNPACED_OUT" | head -3; exit 1; }
+done
+cmp "$CHAOS_DIR/unpaced-a.log" "$CHAOS_DIR/unpaced-b.log" \
+    || { echo "unpaced crash drill: two recoveries of one journal diverged"; \
+         diff "$CHAOS_DIR/unpaced-a.log" "$CHAOS_DIR/unpaced-b.log" | head -20; exit 1; }
+
 echo "==> consolidation crash drill (mid-sweep recovery parity)"
 # Same drill with online consolidation sweeps running between
 # admissions: Migrate frames are journaled *before* their moves
-# execute, so a crash landing mid-sweep must recover — replaying the
-# journaled move schedule, never re-planning — to a verdict log
+# execute, so a crash landing mid-sweep must recover — re-planning the
+# sweep and checking it against the journaled frame — to a verdict log
 # byte-identical to the uncrashed control's.
 CONS_FLAGS=(--consolidate-every 50 --drain-threshold 2)
 CONS_OUT="$("${CLI[@]}" serve --db-dir "$CHAOS_DIR/db" \

@@ -354,7 +354,6 @@ fn bench_durability(c: &mut Criterion) {
         wal_frames: 2_000,
         now: 1_234.5,
         next_ticket: 1_000,
-        cache_generation: 1,
         shards: (0..4u32)
             .map(|index| eavm_durability::ShardSnapRec {
                 index,
@@ -370,6 +369,8 @@ fn bench_durability(c: &mut Criterion) {
             .collect(),
         parked: vec![],
         counters: vec![("submitted".into(), 1_000)],
+        cooldowns: vec![0; 64],
+        overload: None,
     };
     let mut seq = 0u64;
     group.bench_function("snapshot_write_read", |b| {

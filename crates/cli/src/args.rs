@@ -75,7 +75,10 @@ mod table {
     /// Seeded host faults (simulator) or model-lookup faults (service).
     const FAULTS: &[Flag] = &[opt("fault-seed", "N"), opt("fault-rate", "F")];
     /// Kill one shard worker after M served messages.
-    const KILL: &[Flag] = &[opt("kill-shard", "N"), opt("kill-after", "M")];
+    const KILL: &[Flag] = &[opt("kill-shard", "N"), opt("kill-after", "M").needs("kill-shard")];
+    /// A scenario file may declare the kill itself: a bare `--kill-after`
+    /// then overrides when it fires.
+    const SCENARIO_KILL: &[Flag] = &[opt("kill-shard", "N"), opt("kill-after", "M")];
     const JOURNAL: &[Flag] = &[
         opt("checkpoint-every", "N").needs("journal-dir"),
         opt("append-retries", "N").needs("journal-dir"),
@@ -114,9 +117,11 @@ mod table {
             WORKLOAD, SERVICE, ALLOCATOR, &[switch("paced"), opt("journal-dir", "DIR")], JOURNAL,
             CONSOLIDATION, OVERLOAD, FAULTS, KILL, STORAGE_FAULTS, METRICS,
         ]),
+        // No FAULTS or KILL: a journal cannot record either, so the
+        // service refuses them together with one.
         cmd("recover", &[
             WORKLOAD, &[req("journal-dir", "DIR")], SERVICE, ALLOCATOR, JOURNAL,
-            CONSOLIDATION, OVERLOAD, FAULTS, KILL, STORAGE_FAULTS, METRICS,
+            CONSOLIDATION, OVERLOAD, STORAGE_FAULTS, METRICS,
         ]),
         cmd("scrub", &[&[req("journal-dir", "DIR")]]),
         cmd("corrupt", &[&[
@@ -125,9 +130,10 @@ mod table {
             opt("seed", "N"),
         ]]),
         cmd("replay-online", &[WORKLOAD, ALLOCATOR, FAULTS, METRICS]),
-        Command { name: "scenario check", positionals: "FILE", groups: &[FAULTS, KILL] },
+        Command { name: "scenario check", positionals: "FILE", groups: &[FAULTS, SCENARIO_KILL] },
         Command { name: "scenario run", positionals: "FILE", groups: &[
-            &[opt("db-dir", "DIR"), opt("threads", "N"), opt("out", "FILE")], FAULTS, KILL,
+            &[opt("db-dir", "DIR"), opt("threads", "N"), opt("out", "FILE")], FAULTS,
+            SCENARIO_KILL,
         ] },
         cmd("db-diff", &[&[req("left", "DIR"), req("right", "DIR"), opt("tolerance", "F")]]),
         cmd("info", &[&[req("db-dir", "DIR")]]),

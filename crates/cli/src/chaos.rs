@@ -1,4 +1,4 @@
-//! The chaos-injection flags shared by `simulate`, `serve`, `recover`,
+//! The chaos-injection flags shared by `simulate`, `serve`,
 //! `replay-online`, and `scenario`: parsed once into [`ChaosFlags`]
 //! so every subcommand agrees on defaults and validation. The flags
 //! themselves are declared in [`crate::args::COMMANDS`].
@@ -29,17 +29,17 @@ pub struct ChaosFlags {
 }
 
 impl ChaosFlags {
-    /// Parse and validate the chaos flags from a command line. The
-    /// worker-kill pair is read only where the subcommand has workers.
+    /// Parse and validate the chaos flags from a command line. Each
+    /// pair is read only where the subcommand declares it: `recover`
+    /// declares neither, and only the service has workers to kill.
     pub fn from_args(args: &Args) -> Result<Self, String> {
-        let rate: Option<f64> = args.get_optional("fault-rate")?;
-        // `fraction_or` owns the range check (and its error message).
-        args.fraction_or("fault-rate", 0.0)?;
-        let mut flags = ChaosFlags {
-            seed: args.get_optional("fault-seed")?,
-            rate,
-            ..ChaosFlags::default()
-        };
+        let mut flags = ChaosFlags::default();
+        if args.declares("fault-rate") {
+            flags.rate = args.get_optional("fault-rate")?;
+            // `fraction_or` owns the range check (and its error message).
+            args.fraction_or("fault-rate", 0.0)?;
+            flags.seed = args.get_optional("fault-seed")?;
+        }
         if args.declares("kill-shard") {
             flags.kill_shard = args.get_optional("kill-shard")?;
             flags.kill_after = args.get_optional("kill-after")?;

@@ -720,10 +720,11 @@ fn serve(args: &Args) -> Result<String, String> {
 }
 
 /// Resume a crashed (or cleanly stopped) `serve --journal-dir` run:
-/// rebuild the fleet from the newest usable checkpoint plus the WAL
-/// tail, re-drive every submitted-but-undecided request, then submit
-/// whatever part of the trace the crashed process never reached (paced,
-/// so the verdict stream stays deterministic) and drain to completion.
+/// load the newest usable checkpoint, re-run the coordinator on the
+/// inputs journaled in the WAL tail (finishing the round the crash cut
+/// short), then submit whatever part of the trace the crashed process
+/// never reached (paced, so the verdict stream stays deterministic) and
+/// drain to completion.
 /// The reconstructed verdict log is byte-identical to an uncrashed
 /// paced run over the same trace.
 fn recover(args: &Args) -> Result<String, String> {

@@ -14,7 +14,7 @@ fn rejected_command_lines_exit_nonzero_naming_the_flag() {
         "--servers",
         "8",
     ];
-    let cases: [(&[&str], &str); 7] = [
+    let cases: [(&[&str], &str); 8] = [
         (&["--overlaod-cut", "0.3"], "--overlaod-cut"),
         (&["--cache", "64"], "--cache was removed"),
         (&["--journal-dir"], "--journal-dir"),
@@ -28,6 +28,7 @@ fn rejected_command_lines_exit_nonzero_naming_the_flag() {
             &["--metrics-format", "json"],
             "--metrics-format needs --metrics-out",
         ),
+        (&["--kill-after", "5"], "--kill-after needs --kill-shard"),
     ];
     let mut argvs: Vec<(Vec<&str>, &str)> = cases
         .iter()
@@ -37,6 +38,19 @@ fn rejected_command_lines_exit_nonzero_naming_the_flag() {
     replay[0] = "replay-online";
     replay.extend(["--kill-shard", "0"]);
     argvs.push((replay, "--kill-shard"));
+    // A journal records neither worker kills nor lookup faults, so
+    // `recover` (which always has one) does not take them.
+    for (chaos, expect) in [
+        (["--kill-after", "5"], "unknown flag --kill-after"),
+        (["--kill-shard", "0"], "unknown flag --kill-shard"),
+        (["--fault-rate", "0.5"], "unknown flag --fault-rate"),
+    ] {
+        let mut recover = serve.to_vec();
+        recover[0] = "recover";
+        recover.extend(["--journal-dir", "j"]);
+        recover.extend(chaos);
+        argvs.push((recover, expect));
+    }
     argvs.push((
         vec!["scenario", "check", "s.eavm", "--fault-rat", "0.3"],
         "--fault-rat",

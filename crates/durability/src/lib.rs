@@ -4,16 +4,18 @@
 //! write-ahead log of admission events, periodic checkpoint snapshots,
 //! and the recovery scan that stitches them back into live state.
 //!
-//! Design in one paragraph: the coordinator journals every admission
-//! event (submit, admit, queue, requeue, shed, clock advance) as a
-//! CRC32-checksummed length-prefixed frame *before* acking it, and
-//! every `checkpoint_every` appends it snapshots its full placement
-//! state (per-shard resident VMs with bit-exact finish times, parked
-//! queue, counters) to an atomically renamed snapshot file. Recovery
-//! loads the newest snapshot whose coverage is consistent with the
-//! surviving WAL, replays the WAL tail, truncates any torn trailing
-//! frames, and hands the service enough state to resume with verdicts
-//! byte-identical to the run that never crashed.
+//! Design in one paragraph: the coordinator journals every input it is
+//! given (submit, advance, drain) and every decision it makes (admit,
+//! queue, requeue, shed, clock advance, consolidation sweep) as a
+//! CRC32-checksummed length-prefixed frame *before* acking or executing
+//! it, and every `checkpoint_every` appends it snapshots its full state
+//! (per-shard resident VMs with bit-exact finish times, parked queue,
+//! counters, consolidation cooldowns, overload-plane state) to an
+//! atomically renamed snapshot file. Recovery loads the newest snapshot
+//! whose coverage is consistent with the surviving WAL, truncates any
+//! torn trailing frames, and hands the service the WAL tail: the
+//! service re-runs its coordinator on the journaled inputs and checks
+//! every decision it writes against the frame already on disk.
 //!
 //! The crate knows nothing about the service: records carry primitive
 //! fields only, and the service layer owns the mapping to its own
@@ -38,8 +40,8 @@ pub mod wal;
 
 pub use crc32::crc32;
 pub use record::{
-    shed_reason_name, MoveRec, PlacementRec, ReqRec, ServerSnapRec, ShardSnapRec, SnapshotRec,
-    WalRecord,
+    shed_reason_name, MoveRec, OverloadRec, PlacementRec, ReqRec, ServerSnapRec, ShardSnapRec,
+    SnapshotRec, WalRecord,
 };
 pub use recovery::{recover_dir, recover_dir_with, wal_path, RecoveredState, WAL_FILE};
 pub use scrub::{scrub_dir, scrub_dir_with, ScrubReport};

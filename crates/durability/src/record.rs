@@ -104,6 +104,8 @@ const TAG_REQUEUED: u8 = 5;
 const TAG_SHED: u8 = 6;
 const TAG_CLOCK: u8 = 7;
 const TAG_MIGRATE: u8 = 8;
+const TAG_ADVANCE: u8 = 9;
+const TAG_DRAIN: u8 = 10;
 
 /// One VM move inside a journaled consolidation sweep: drain the
 /// first resident of workload-type index `ty` from server `from` and
@@ -132,14 +134,21 @@ impl MoveRec {
     }
 }
 
-/// One admission event, journaled before the matching ack leaves the
-/// coordinator. `Clock` records the coordinator's fleet-wide virtual
-/// clock advances so recovery retires resident VMs at exactly the
-/// instants the live run did.
+/// One journaled coordinator event. *Inputs* (`Submit`, `Advance`,
+/// `Drain`) are what the coordinator was asked to do: recovery feeds
+/// them back through the coordinator. Every other kind is an *output*
+/// the coordinator wrote while handling an input, journaled before the
+/// matching ack leaves it; recovery checks that re-execution writes
+/// each one again byte for byte.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
-    /// A request entered the coordinator under `ticket`.
+    /// A request entered the coordinator under `ticket`. A maximal run
+    /// of consecutive `Submit` frames is one admission batch.
     Submit { ticket: u64, req: ReqRec },
+    /// The client asked for a fleet-wide clock advance to `t`.
+    Advance { t: f64 },
+    /// The client asked for a drain of the wait queue.
+    Drain,
     /// Fast-path local admission on one shard.
     Admitted {
         ticket: u64,
@@ -220,6 +229,11 @@ impl WalRecord {
                 e.put_u64(*ticket);
                 e.put_u8(*reason);
             }
+            WalRecord::Advance { t } => {
+                e.put_u8(TAG_ADVANCE);
+                e.put_f64(*t);
+            }
+            WalRecord::Drain => e.put_u8(TAG_DRAIN),
             WalRecord::Clock { t } => {
                 e.put_u8(TAG_CLOCK);
                 e.put_f64(*t);
@@ -277,6 +291,8 @@ impl WalRecord {
                 ticket: d.get_u64()?,
                 reason: d.get_u8()?,
             },
+            TAG_ADVANCE => WalRecord::Advance { t: d.get_f64()? },
+            TAG_DRAIN => WalRecord::Drain,
             TAG_CLOCK => WalRecord::Clock { t: d.get_f64()? },
             TAG_MIGRATE => {
                 let epoch = d.get_u64()?;
@@ -312,7 +328,24 @@ impl WalRecord {
             | WalRecord::Queued { ticket, .. }
             | WalRecord::Requeued { ticket, .. }
             | WalRecord::Shed { ticket, .. } => Some(*ticket),
-            WalRecord::Clock { .. } | WalRecord::Migrate { .. } => None,
+            WalRecord::Advance { .. }
+            | WalRecord::Drain
+            | WalRecord::Clock { .. }
+            | WalRecord::Migrate { .. } => None,
+        }
+    }
+
+    /// `true` for the records that journal a coordinator *input*.
+    pub fn is_input(&self) -> bool {
+        match self {
+            WalRecord::Submit { .. } | WalRecord::Advance { .. } | WalRecord::Drain => true,
+            WalRecord::Admitted { .. }
+            | WalRecord::AdmittedCrossShard { .. }
+            | WalRecord::Queued { .. }
+            | WalRecord::Requeued { .. }
+            | WalRecord::Shed { .. }
+            | WalRecord::Clock { .. }
+            | WalRecord::Migrate { .. } => false,
         }
     }
 
@@ -327,7 +360,11 @@ impl WalRecord {
             // verdict — keeping it out of the verdict log is what makes
             // crashed-vs-uncrashed verdict files byte-identical even when
             // the crash lands mid-sweep.
-            WalRecord::Submit { .. } | WalRecord::Clock { .. } | WalRecord::Migrate { .. } => None,
+            WalRecord::Submit { .. }
+            | WalRecord::Advance { .. }
+            | WalRecord::Drain
+            | WalRecord::Clock { .. }
+            | WalRecord::Migrate { .. } => None,
             WalRecord::Admitted {
                 ticket,
                 shard,
@@ -395,9 +432,60 @@ pub struct ShardSnapRec {
     pub servers: Vec<ServerSnapRec>,
 }
 
-// v2: `ReqRec` carries a priority class and parked entries persist the
-// true submit instant plus the park instant (for queue-age shedding).
-const SNAPSHOT_VERSION: u8 = 2;
+/// The overload plane's controller state at checkpoint time (mirror of
+/// `eavm_overload::OverloadSnapshot`).
+#[derive(Debug, Clone, PartialEq)]
+pub struct OverloadRec {
+    /// The plane's logical clock.
+    pub now: f64,
+    /// Probes drawn from the breaker's seeded stream so far.
+    pub probes: u64,
+    /// `BreakerState` index (0 = Closed, 1 = Open, 2 = HalfOpen).
+    pub breaker: u8,
+    /// Consecutive failing probes while closed.
+    pub streak: u32,
+    /// Instant the breaker last opened.
+    pub opened_at: f64,
+    /// Per-shard AIMD admission limits.
+    pub limits: Vec<f64>,
+}
+
+impl OverloadRec {
+    fn encode(&self, e: &mut Enc) {
+        e.put_f64(self.now);
+        e.put_u64(self.probes);
+        e.put_u8(self.breaker);
+        e.put_u32(self.streak);
+        e.put_f64(self.opened_at);
+        e.put_len(self.limits.len());
+        for limit in &self.limits {
+            e.put_f64(*limit);
+        }
+    }
+
+    fn decode(d: &mut Dec) -> Result<Self, EavmError> {
+        let now = d.get_f64()?;
+        let probes = d.get_u64()?;
+        let breaker = d.get_u8()?;
+        let streak = d.get_u32()?;
+        let opened_at = d.get_f64()?;
+        let n = d.get_len()?;
+        let limits = (0..n).map(|_| d.get_f64()).collect::<Result<_, _>>()?;
+        Ok(OverloadRec {
+            now,
+            probes,
+            breaker,
+            streak,
+            opened_at,
+            limits,
+        })
+    }
+}
+
+// v3: typed consolidation cooldowns and overload-plane state replace
+// the reserved counter names v2 carried them under; the unused cache
+// generation is gone.
+const SNAPSHOT_VERSION: u8 = 3;
 
 /// A full coordinator checkpoint: everything needed to restart the
 /// service without replaying the WAL prefix it covers.
@@ -411,10 +499,6 @@ pub struct SnapshotRec {
     pub now: f64,
     /// Next admission ticket to hand out.
     pub next_ticket: u64,
-    /// Memo-cache generation: caches are rebuilt cold on recovery, and
-    /// each checkpoint bumps the generation so operators can tell a
-    /// warm cache from a freshly recovered one.
-    pub cache_generation: u64,
     pub shards: Vec<ShardSnapRec>,
     /// Parked wait-queue entries in FIFO order: ticket, the original
     /// request (true submit instant included), and the virtual instant
@@ -422,6 +506,10 @@ pub struct SnapshotRec {
     pub parked: Vec<(u64, ReqRec, f64)>,
     /// Coordinator counter values by name.
     pub counters: Vec<(String, u64)>,
+    /// Consolidation hysteresis cooldown of every host, index = host.
+    pub cooldowns: Vec<u32>,
+    /// Overload-plane controller state; `None` without the plane.
+    pub overload: Option<OverloadRec>,
 }
 
 impl SnapshotRec {
@@ -432,7 +520,6 @@ impl SnapshotRec {
         e.put_u64(self.wal_frames);
         e.put_f64(self.now);
         e.put_u64(self.next_ticket);
-        e.put_u64(self.cache_generation);
         e.put_len(self.shards.len());
         for shard in &self.shards {
             e.put_u32(shard.index);
@@ -459,6 +546,17 @@ impl SnapshotRec {
             e.put_str(name);
             e.put_u64(*value);
         }
+        e.put_len(self.cooldowns.len());
+        for cooldown in &self.cooldowns {
+            e.put_u32(*cooldown);
+        }
+        match &self.overload {
+            Some(overload) => {
+                e.put_u8(1);
+                overload.encode(&mut e);
+            }
+            None => e.put_u8(0),
+        }
         e.finish()
     }
 
@@ -474,7 +572,6 @@ impl SnapshotRec {
         let wal_frames = d.get_u64()?;
         let now = d.get_f64()?;
         let next_ticket = d.get_u64()?;
-        let cache_generation = d.get_u64()?;
         let shard_count = d.get_len()?;
         let mut shards = Vec::with_capacity(shard_count);
         for _ in 0..shard_count {
@@ -506,16 +603,30 @@ impl SnapshotRec {
         let counters = (0..counter_count)
             .map(|_| Ok((d.get_string()?, d.get_u64()?)))
             .collect::<Result<_, EavmError>>()?;
+        let cooldown_count = d.get_len()?;
+        let cooldowns = (0..cooldown_count)
+            .map(|_| d.get_u32())
+            .collect::<Result<_, _>>()?;
+        let overload = match d.get_u8()? {
+            0 => None,
+            1 => Some(OverloadRec::decode(&mut d)?),
+            flag => {
+                return Err(EavmError::Durability(format!(
+                    "bad overload presence flag {flag}"
+                )))
+            }
+        };
         d.expect_end()?;
         Ok(SnapshotRec {
             seq,
             wal_frames,
             now,
             next_ticket,
-            cache_generation,
             shards,
             parked,
             counters,
+            cooldowns,
+            overload,
         })
     }
 }
@@ -601,6 +712,8 @@ mod tests {
                 stall: 1.90625,
                 moves: vec![],
             },
+            WalRecord::Advance { t: 6500.125 },
+            WalRecord::Drain,
         ]
     }
 
@@ -644,6 +757,18 @@ mod tests {
         // verdict log.
         assert_eq!(lines[7], None);
         assert_eq!(lines[8], None);
+        // Neither do the Advance and Drain inputs.
+        assert_eq!(lines[9], None);
+        assert_eq!(lines[10], None);
+    }
+
+    #[test]
+    fn only_submit_advance_and_drain_are_inputs() {
+        let inputs: Vec<bool> = sample_records().iter().map(WalRecord::is_input).collect();
+        assert_eq!(
+            inputs,
+            [true, false, false, false, false, false, false, false, false, true, true]
+        );
     }
 
     #[test]
@@ -675,7 +800,6 @@ mod tests {
             wal_frames: 340,
             now: 7777.25,
             next_ticket: 901,
-            cache_generation: 12,
             shards: vec![ShardSnapRec {
                 index: 0,
                 clock: 7777.25,
@@ -707,15 +831,32 @@ mod tests {
                 ("service.submitted".into(), 900),
                 ("service.requeued".into(), 2),
             ],
+            cooldowns: vec![0, 2, 1],
+            overload: Some(OverloadRec {
+                now: 7777.25,
+                probes: 41,
+                breaker: 2,
+                streak: 3,
+                opened_at: 7100.5,
+                limits: vec![12.375, 0.1],
+            }),
         };
         let decoded = SnapshotRec::decode(&snap.encode()).unwrap();
         assert_eq!(decoded, snap);
+        let plain = SnapshotRec {
+            overload: None,
+            cooldowns: vec![],
+            ..snap.clone()
+        };
+        assert_eq!(SnapshotRec::decode(&plain.encode()).unwrap(), plain);
         // f64 fields survive bit-exact.
         assert_eq!(
             decoded.shards[0].servers[0].residents[0].1.to_bits(),
             8000.125f64.to_bits()
         );
         assert_eq!(decoded.parked[0].2.to_bits(), 7400.125f64.to_bits());
+        let overload = decoded.overload.expect("overload state");
+        assert_eq!(overload.limits[1].to_bits(), 0.1f64.to_bits());
     }
 
     #[test]
@@ -749,10 +890,11 @@ mod tests {
             wal_frames: 0,
             now: 0.0,
             next_ticket: 0,
-            cache_generation: 0,
             shards: vec![],
             parked: vec![],
             counters: vec![],
+            cooldowns: vec![],
+            overload: None,
         }
         .encode();
         bytes[0] = 9;

@@ -232,10 +232,11 @@ mod tests {
             wal_frames,
             now: 0.0,
             next_ticket: wal_frames,
-            cache_generation: seq,
             shards: vec![],
             parked: vec![],
             counters: vec![],
+            cooldowns: vec![],
+            overload: None,
         }
     }
 

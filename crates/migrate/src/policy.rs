@@ -132,14 +132,13 @@ impl Hysteresis {
         &self.cooldown
     }
 
-    /// Rebuild a tracker from checkpointed cooldowns, padded or
-    /// truncated to `hosts` entries (fleet shape is config-owned).
-    pub fn restore(hosts: usize, saved: &[(usize, u32)]) -> Self {
+    /// Rebuild a tracker from checkpointed [`cooldowns`](Self::cooldowns),
+    /// padded or truncated to `hosts` entries (fleet shape is
+    /// config-owned).
+    pub fn restore(hosts: usize, saved: &[u32]) -> Self {
         let mut h = Hysteresis::new(hosts);
-        for &(host, cooldown) in saved {
-            if let Some(c) = h.cooldown.get_mut(host) {
-                *c = cooldown;
-            }
+        for (c, saved) in h.cooldown.iter_mut().zip(saved) {
+            *c = *saved;
         }
         h
     }
@@ -373,18 +372,12 @@ mod tests {
         let plan = plan_moves(&hosts, &cfg, &hyst, accept_all);
         hyst.commit(&plan, cfg.hysteresis_sweeps);
 
-        let saved: Vec<(usize, u32)> = hyst
-            .cooldowns()
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| **c > 0)
-            .map(|(i, c)| (i, *c))
-            .collect();
+        let saved = hyst.cooldowns().to_vec();
         let restored = Hysteresis::restore(4, &saved);
         assert_eq!(restored.cooldowns(), hyst.cooldowns());
         // Out-of-range saved entries are dropped, not panicked on.
         let shrunk = Hysteresis::restore(1, &saved);
-        assert_eq!(shrunk.cooldowns().len(), 1);
+        assert_eq!(shrunk.cooldowns(), &saved[..1]);
     }
 
     #[test]

@@ -26,15 +26,14 @@
 //!
 //! [`OverloadPlane`] state mutates **only** in the event hooks
 //! ([`on_submit`], [`on_clock`], [`on_admitted`], [`on_shed`]), each of
-//! which corresponds 1:1 to a journaled WAL record. The live
-//! coordinator calls a hook immediately after the matching record is
-//! appended; crash recovery calls the identical hook while replaying
-//! the WAL tail. Plane state is therefore a pure function of the
-//! journaled event stream, and a recovered service re-derives limiter,
-//! breaker, and clock state bit-exactly — nothing is journaled ad hoc.
-//! Decision helpers ([`queue_aged`], [`rung`], [`under_limit`]) are
-//! pure reads used only on the live path; replay re-applies journaled
-//! verdicts and never re-decides.
+//! which corresponds 1:1 to a journaled WAL record: the coordinator
+//! calls a hook immediately after the matching record is appended.
+//! Plane state is therefore a pure function of the journaled event
+//! stream. Checkpoints persist it through [`OverloadPlane::snapshot`]
+//! and [`OverloadPlane::restore`], and crash recovery re-runs the same
+//! coordinator code over the WAL tail, so the same hooks fire and the
+//! decision helpers ([`queue_aged`], [`rung`], [`under_limit`], pure
+//! reads) answer exactly as they did before the crash.
 //!
 //! [`on_submit`]: OverloadPlane::on_submit
 //! [`on_clock`]: OverloadPlane::on_clock
@@ -255,6 +254,8 @@ pub struct OverloadSnapshot {
     pub probes: u64,
     /// The plane's logical clock (max over submit/clock events seen).
     pub now: f64,
+    /// Instant the breaker last opened (its cooldown runs from here).
+    pub opened_at: f64,
 }
 
 /// The overload-control plane. See the crate docs for the determinism
@@ -458,55 +459,8 @@ impl OverloadPlane {
         }
     }
 
-    // -- persistence ---------------------------------------------------
-
-    /// Prefix of the reserved snapshot-counter names the plane saves
-    /// its scalar state under (the same channel consolidation cooldowns
-    /// use); recovery strips them back out before seeding counters.
-    pub const COUNTER_PREFIX: &'static str = "overload_";
-
-    /// Append the plane's scalar state as reserved counter entries
-    /// (f64s as raw bits, so restore is bit-exact).
-    pub fn save(&self, out: &mut Vec<(String, u64)>) {
-        out.push(("overload_now".into(), self.now.to_bits()));
-        out.push(("overload_probes".into(), self.probes));
-        out.push(("overload_breaker".into(), self.breaker.index() as u64));
-        out.push(("overload_streak".into(), u64::from(self.streak)));
-        out.push(("overload_opened_at".into(), self.opened_at.to_bits()));
-        for (shard, limit) in self.limits.iter().enumerate() {
-            out.push((format!("overload_limit_{shard}"), limit.to_bits()));
-        }
-    }
-
-    /// Absorb one reserved counter entry; returns `true` when the name
-    /// belonged to the plane (the caller must then drop it).
-    pub fn load(&mut self, name: &str, value: u64) -> bool {
-        let Some(rest) = name.strip_prefix(Self::COUNTER_PREFIX) else {
-            return false;
-        };
-        match rest {
-            "now" => self.now = f64::from_bits(value),
-            "probes" => self.probes = value,
-            "breaker" => {
-                self.breaker = BreakerState::from_index(usize::try_from(value).unwrap_or(0))
-            }
-            "streak" => self.streak = u32::try_from(value).unwrap_or(u32::MAX),
-            "opened_at" => self.opened_at = f64::from_bits(value),
-            _ => {
-                if let Some(shard) = rest
-                    .strip_prefix("limit_")
-                    .and_then(|s| s.parse::<usize>().ok())
-                {
-                    if shard < self.limits.len() {
-                        self.limits[shard] = f64::from_bits(value);
-                    }
-                }
-            }
-        }
-        true
-    }
-
-    /// A copy of the controller state for stats and parity tests.
+    /// A copy of the controller state: surfaced in stats, compared by
+    /// the parity tests, and persisted by checkpoints.
     pub fn snapshot(&self) -> OverloadSnapshot {
         OverloadSnapshot {
             limits: self.limits.clone(),
@@ -514,7 +468,22 @@ impl OverloadPlane {
             breaker_streak: self.streak,
             probes: self.probes,
             now: self.now,
+            opened_at: self.opened_at,
         }
+    }
+
+    /// Load controller state saved by [`OverloadPlane::snapshot`]. Limits
+    /// for shards this plane does not have are dropped, missing ones
+    /// keep their current value (fleet shape is config-owned).
+    pub fn restore(&mut self, state: &OverloadSnapshot) {
+        for (limit, saved) in self.limits.iter_mut().zip(&state.limits) {
+            *limit = *saved;
+        }
+        self.breaker = state.breaker;
+        self.streak = state.breaker_streak;
+        self.probes = state.probes;
+        self.now = state.now;
+        self.opened_at = state.opened_at;
     }
 }
 
@@ -706,13 +675,8 @@ mod tests {
                 plane.on_shed(true);
             }
         }
-        let mut saved = Vec::new();
-        plane.save(&mut saved);
         let mut restored = OverloadPlane::new(cfg, 3);
-        for (name, value) in &saved {
-            assert!(restored.load(name, *value), "unconsumed entry {name}");
-        }
-        assert!(!restored.load("submitted", 5));
+        restored.restore(&plane.snapshot());
         assert_eq!(restored.snapshot(), plane.snapshot());
         assert_eq!(restored, plane);
     }

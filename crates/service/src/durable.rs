@@ -1,40 +1,39 @@
 //! Durability wiring: the bridge between the service's live types and
 //! `eavm-durability`'s primitive WAL/snapshot records.
 //!
-//! Three responsibilities live here:
+//! Two responsibilities live here:
 //!
 //! * `Journal` — the coordinator's handle on the write-ahead log:
 //!   journal-before-ack appends, checkpoint cadence, snapshot writes,
-//!   and the injected [`CrashSchedule`] that aborts the process after a
-//!   chosen number of events became durable.
-//! * Type conversions — `VmRequest`/`Placement`/[`Verdict`] to and from
-//!   the primitive records, including [`verdict_line`], the *single*
-//!   rendering both live services and WAL replays use (which is what
-//!   makes "verdict-log byte equality" a meaningful acceptance test).
-//! * `rebuild` — deterministic re-execution of the WAL tail on top of
-//!   the newest usable snapshot: journaled decisions are re-applied
-//!   through real `ShardCore`s (no search ever re-runs), so finish
-//!   times, retirement instants, and every later verdict come out
-//!   bit-identical to the run that never crashed.
+//!   the injected [`CrashSchedule`] that aborts the process after a
+//!   chosen number of events became durable, and *verify mode*. A
+//!   recovering journal starts with its cursor at the snapshot's
+//!   coverage: it hands the coordinator the journaled inputs of the WAL
+//!   tail, and every record the re-executing coordinator appends is
+//!   compared byte for byte with the frame already on disk. Only once
+//!   the cursor passes the end of the WAL does it append for real.
+//! * Type conversions — `VmRequest`/`Placement`/[`Verdict`] and the
+//!   checkpointed controller state to and from the primitive records,
+//!   including [`verdict_line`], the *single* rendering both live
+//!   services and WAL readers use (which is what makes "verdict-log
+//!   byte equality" a meaningful acceptance test).
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 
 use eavm_core::{Placement, RequestView};
 use eavm_durability::{
-    prune_snapshots_with, sweep_tmp_files_with, wal_path, write_snapshot_with, PlacementRec,
-    RecoveredState, ReqRec, ServerSnapRec, ShardSnapRec, SnapshotRec, Wal, WalRecord,
+    prune_snapshots_with, sweep_tmp_files_with, wal_path, write_snapshot_with, OverloadRec,
+    PlacementRec, RecoveredState, ReqRec, ServerSnapRec, ShardSnapRec, SnapshotRec, Wal, WalRecord,
 };
 use eavm_faults::CrashSchedule;
-use eavm_migrate::{ConsolidationConfig, Hysteresis, Move, MovePlan};
-use eavm_overload::{OverloadPlane, Priority};
+use eavm_overload::{BreakerState, OverloadSnapshot, Priority};
 use eavm_storage::{FaultyStorage, OsStorage, Storage, StorageFaultConfig, StorageStats};
 use eavm_swf::VmRequest;
 use eavm_telemetry::{Counter, Telemetry};
-use eavm_types::{EavmError, JobId, Joules, MixVector, Seconds, ServerId, WorkloadType};
+use eavm_types::{EavmError, JobId, Joules, Seconds, ServerId, WorkloadType};
 
-use crate::service::{ShedReason, Verdict};
-use crate::shard::{ShardCore, ShardDump};
+use crate::service::{Input, Verdict};
+use crate::shard::ShardDump;
 
 /// Durability knobs hung off `ServiceConfig`.
 #[derive(Debug, Clone)]
@@ -133,7 +132,8 @@ pub struct DurabilityStats {
     pub wal_appends: u64,
     /// Checkpoint snapshots written by this process.
     pub snapshots_written: u64,
-    /// WAL frames replayed on top of the snapshot during recovery.
+    /// WAL frames re-executed and verified on top of the snapshot
+    /// during recovery.
     pub frames_replayed: u64,
     /// Snapshots loaded during recovery (0 or 1).
     pub snapshots_loaded: u64,
@@ -262,6 +262,14 @@ pub(crate) struct Journal {
     /// these, not the historical frames a recovered WAL already held.
     appended: u64,
     crash: Option<CrashSchedule>,
+    /// Verify mode: the WAL tail a recovering journal found on disk,
+    /// starting at frame index `replay_base`. While `cursor` is behind
+    /// its end, appends are compared with these records, not written.
+    replay: Vec<WalRecord>,
+    replay_base: usize,
+    cursor: usize,
+    /// The first mismatch verify mode found.
+    divergence: Option<String>,
     /// Backend counters already published to the instruments; the delta
     /// since this baseline is what each publish adds.
     published: StorageStats,
@@ -272,7 +280,9 @@ impl Journal {
     /// Open (or create) the journal under `cfg.dir`. A fresh start
     /// (`state == None`) on a directory that already holds WAL frames is
     /// refused: silently appending a second history onto the first would
-    /// make the log unrecoverable — the caller must recover instead.
+    /// make the log unrecoverable — the caller must recover instead. A
+    /// recovering journal (`state` given) opens in verify mode over the
+    /// state's WAL tail.
     pub(crate) fn open(
         cfg: &DurabilityConfig,
         state: Option<&RecoveredState>,
@@ -311,6 +321,10 @@ impl Journal {
             next_seq,
             appended: 0,
             crash: cfg.crash,
+            replay: state.map(|s| s.tail().to_vec()).unwrap_or_default(),
+            replay_base: state.map_or(0, |s| s.tail_start),
+            cursor: 0,
+            divergence: None,
             published: StorageStats::default(),
             instruments: instruments.clone(),
         };
@@ -333,6 +347,75 @@ impl Journal {
                 .saturating_sub(self.published.dir_sync_failures),
         );
         self.published = stats;
+    }
+
+    /// `true` while the cursor is behind the end of the WAL found at
+    /// recovery: appends are verified against disk, not written.
+    pub(crate) fn replaying(&self) -> bool {
+        self.cursor < self.replay.len()
+    }
+
+    /// WAL index of the frame the cursor stands at.
+    fn frame_index(&self) -> usize {
+        self.replay_base + self.cursor
+    }
+
+    /// The next journaled input of the WAL tail, for recovery to feed
+    /// back into the coordinator; `None` once the cursor passed the end
+    /// of the WAL. A batch is a maximal run of `Submit` frames: every
+    /// submission gets a journaled verdict before the next batch's
+    /// `Submit`s, unless the service degraded and journaled nothing
+    /// more. An output frame here means the journal and re-execution
+    /// disagree about where a round ended.
+    pub(crate) fn next_input(&self) -> Result<Option<Input>, EavmError> {
+        let rest = &self.replay[self.cursor..];
+        let input = match rest.first() {
+            None => return Ok(None),
+            Some(WalRecord::Submit { .. }) => Input::Batch(
+                rest.iter()
+                    .map_while(|record| match record {
+                        WalRecord::Submit { ticket, req } => Some((*ticket, rec_to_req(req))),
+                        _ => None,
+                    })
+                    .collect(),
+            ),
+            Some(WalRecord::Advance { t }) => Input::AdvanceTo(Seconds(*t)),
+            Some(WalRecord::Drain) => Input::Drain,
+            Some(output) => {
+                return Err(EavmError::Durability(format!(
+                    "recovery diverged at WAL frame {}: the journal holds output {output:?} \
+                     where the next input (Submit, Advance or Drain) belongs",
+                    self.frame_index()
+                )))
+            }
+        };
+        Ok(Some(input))
+    }
+
+    /// Verify mode's append: `record` must encode to exactly the frame
+    /// at the cursor. The first mismatch is kept for the recovery loop,
+    /// which fails at the end of the step; it is not a storage failure,
+    /// so the append itself succeeds. From then on the cursor stays put,
+    /// so the diverged re-execution never writes to disk.
+    fn verify(&mut self, record: &WalRecord) {
+        if self.divergence.is_some() {
+            return;
+        }
+        let expected = &self.replay[self.cursor];
+        if expected.encode() == record.encode() {
+            self.cursor += 1;
+            return;
+        }
+        self.divergence = Some(format!(
+            "recovery diverged at WAL frame {}: the journal holds {expected:?}, \
+             re-execution produced {record:?}",
+            self.frame_index()
+        ));
+    }
+
+    /// The mismatch verify mode found, if any.
+    pub(crate) fn take_divergence(&mut self) -> Option<EavmError> {
+        self.divergence.take().map(EavmError::Durability)
     }
 
     /// Append one record (journal-before-ack: the caller sends the
@@ -359,8 +442,13 @@ impl Journal {
     /// appended after it would sit unreachable behind the tear — so the
     /// WAL is reopened (which truncates back to the valid boundary)
     /// between attempts. Exhausting the retries surfaces the last error;
-    /// the caller decides whether that means degraded mode.
+    /// the caller decides whether that means degraded mode. In verify
+    /// mode nothing is written: the record is checked against disk.
     pub(crate) fn append_resilient(&mut self, record: &WalRecord) -> Result<(), EavmError> {
+        if self.replaying() {
+            self.verify(record);
+            return Ok(());
+        }
         let mut attempts = 0u32;
         loop {
             match self.append(record) {
@@ -391,8 +479,11 @@ impl Journal {
         Ok(())
     }
 
+    /// A checkpoint is due once `checkpoint_wait` real appends landed
+    /// since the last one. Never while verifying: a snapshot must not
+    /// claim frames re-execution has not reached.
     pub(crate) fn checkpoint_due(&self) -> bool {
-        self.snapshots_enabled && self.since_checkpoint >= self.checkpoint_wait
+        !self.replaying() && self.snapshots_enabled && self.since_checkpoint >= self.checkpoint_wait
     }
 
     /// `true` once repeated checkpoint failures disabled snapshots for
@@ -409,7 +500,6 @@ impl Journal {
     /// snapshots entirely; the WAL alone always suffices to recover.
     pub(crate) fn write_checkpoint(&mut self, mut snap: SnapshotRec) -> Result<(), EavmError> {
         snap.seq = self.next_seq;
-        snap.cache_generation = self.next_seq;
         snap.wal_frames = self.wal.frames();
         let written = self.wal.sync().and_then(|()| {
             write_snapshot_with(self.storage.as_ref(), &self.dir, snap.seq, &snap.encode())
@@ -502,15 +592,6 @@ pub(crate) fn placements_to_recs(placements: &[Placement]) -> Vec<PlacementRec> 
         .collect()
 }
 
-pub(crate) fn recs_to_placements(recs: &[PlacementRec]) -> Vec<Placement> {
-    recs.iter()
-        .map(|r| Placement {
-            server: ServerId::from(r.server as usize),
-            add: MixVector::new(r.cpu, r.mem, r.io),
-        })
-        .collect()
-}
-
 /// Map a verdict to its WAL record.
 pub(crate) fn verdict_to_record(ticket: u64, verdict: &Verdict) -> WalRecord {
     match verdict {
@@ -539,7 +620,7 @@ pub(crate) fn verdict_to_record(ticket: u64, verdict: &Verdict) -> WalRecord {
     }
 }
 
-/// The canonical verdict-log line for a live verdict. WAL replays
+/// The canonical verdict-log line for a live verdict. WAL readers
 /// render through the identical `WalRecord::verdict_line`, so a
 /// recovered run's combined log can be compared byte for byte against
 /// an uncrashed control.
@@ -593,8 +674,30 @@ pub(crate) fn snap_to_dump(snap: &ShardSnapRec) -> ShardDump {
     }
 }
 
+pub(crate) fn overload_to_rec(state: &OverloadSnapshot) -> OverloadRec {
+    OverloadRec {
+        now: state.now,
+        probes: state.probes,
+        breaker: state.breaker.index() as u8,
+        streak: state.breaker_streak,
+        opened_at: state.opened_at,
+        limits: state.limits.clone(),
+    }
+}
+
+pub(crate) fn rec_to_overload(rec: &OverloadRec) -> OverloadSnapshot {
+    OverloadSnapshot {
+        limits: rec.limits.clone(),
+        breaker: BreakerState::from_index(usize::from(rec.breaker)),
+        breaker_streak: rec.streak,
+        probes: rec.probes,
+        now: rec.now,
+        opened_at: rec.opened_at,
+    }
+}
+
 // ---------------------------------------------------------------------
-// Recovery rebuild.
+// Recovery.
 
 /// What [`AllocService::recover`] reports about a completed recovery.
 ///
@@ -603,18 +706,18 @@ pub(crate) fn snap_to_dump(snap: &ShardSnapRec) -> ShardDump {
 pub struct RecoveryReport {
     /// Snapshots loaded (0 or 1).
     pub snapshots_loaded: u64,
-    /// WAL frames replayed on top of the snapshot.
+    /// WAL frames re-executed and verified on top of the snapshot.
     pub frames_replayed: u64,
     /// Torn/corrupt trailing frames dropped.
     pub torn_frames_dropped: u64,
-    /// Requests that were submitted but still undecided at the crash;
-    /// the coordinator re-drives them before serving new traffic.
+    /// Requests whose submission was journaled but whose verdict was
+    /// not; recovery decided them while re-running the crashed round.
     pub resumed_inflight: usize,
-    /// Parked wait-queue entries restored.
+    /// Parked wait-queue entries after recovery.
     pub restored_parked: usize,
-    /// VMs resident after the rebuild.
+    /// VMs resident after recovery.
     pub resident_vms: usize,
-    /// Virtual clock after the rebuild.
+    /// Virtual clock after recovery.
     pub virtual_now: Seconds,
     /// Next admission ticket (strictly above every journaled one).
     pub next_ticket: u64,
@@ -638,359 +741,5 @@ impl RecoveryReport {
             self.virtual_now.0,
             self.next_ticket,
         )
-    }
-}
-
-/// Coordinator-side state reconstructed by [`rebuild`].
-pub(crate) struct Rebuilt {
-    pub now: Seconds,
-    pub next_ticket: u64,
-    /// Parked wait queue in FIFO order: `(ticket, request, parked_at)`.
-    pub parked: Vec<(u64, VmRequest, Seconds)>,
-    /// Submitted-but-undecided requests in submission order; the
-    /// coordinator re-drives them as its first batch.
-    pub resume: Vec<(u64, VmRequest)>,
-    /// Coordinator counter values (snapshot baseline plus tail replay).
-    pub counters: Vec<(String, u64)>,
-    /// Consolidation hysteresis, restored from the snapshot's reserved
-    /// `consolidation_cooldown_<host>` counter entries and advanced by
-    /// every replayed `Migrate` frame — so the first post-recovery
-    /// sweep plans exactly what the crashed process would have.
-    pub hysteresis: Hysteresis,
-    /// The journal ends on a *decision* frame: the crashed process had
-    /// finished a control round but its boundary `Migrate` frame (if a
-    /// sweep was due) may have been lost to the crash. The coordinator
-    /// must re-check consolidation before serving any new traffic —
-    /// the live run swept before its next admission, so the recovered
-    /// one must too. When the journal instead ends mid-round (a
-    /// trailing `Submit` leaves in-flight work to re-drive, a trailing
-    /// `Clock` sits inside a drain/advance), the normal boundary after
-    /// the resumed round re-checks at the same virtual instant the
-    /// crashed process would have.
-    pub pending_sweep: bool,
-    /// The crashed round retired resident VMs — via a mid-round `Clock`
-    /// or a fast-path admission's routed-shard advance — but its
-    /// post-batch parked-retry pass is not in the journal. The live
-    /// round follows such a retirement with `advance(now)` plus a
-    /// parked retry once its batch decisions land (`process_batch`
-    /// tail), but the recovered coordinator cannot observe it: the
-    /// rebuild already applied the retirement, so both the re-driven
-    /// resume batch and the startup retry would see zero freed capacity
-    /// (and possibly an unsynced fleet) and land differently than the
-    /// crashed process. The coordinator re-runs `advance(now)` plus the
-    /// retry pass explicitly when this flag is set. Cleared when a
-    /// journaled post-decision `Clock` (the fleet-wide sync) or a new
-    /// round's `Submit` shows the debt was already consumed.
-    pub tail_retired: bool,
-    pub frames_replayed: u64,
-}
-
-// Ordered map so recovery bookkeeping (and the counter Vec handed to
-// `CoordInstruments::seed`) never depends on hash-iteration order.
-fn bump(counters: &mut BTreeMap<String, u64>, name: &str, n: u64) {
-    *counters.entry(name.to_string()).or_insert(0) += n;
-}
-
-/// Deterministically re-execute a recovered journal into fresh shard
-/// cores. Snapshot state loads directly (bit-exact finish times); the
-/// WAL tail replays journaled *decisions* through the same core methods
-/// the live run used — `advance_to` at each journaled instant, then
-/// `apply_committed` for each admission — so no search re-runs and the
-/// resulting fleet state matches the crashed process exactly.
-pub(crate) fn rebuild(
-    state: &RecoveredState,
-    cores: &mut [ShardCore],
-    layout: &[std::ops::Range<usize>],
-    consolidation: Option<&ConsolidationConfig>,
-    mut plane: Option<&mut OverloadPlane>,
-) -> Rebuilt {
-    let mut counters: BTreeMap<String, u64> = BTreeMap::new();
-    let mut now = Seconds(0.0);
-    let mut next_ticket = 0u64;
-    let mut parked: Vec<(u64, VmRequest, Seconds)> = Vec::new();
-    let n_servers = layout.last().map(|r| r.end).unwrap_or(0);
-    let mut saved_cooldowns: Vec<(usize, u32)> = Vec::new();
-
-    if let Some(snap) = &state.snapshot {
-        now = Seconds(snap.now);
-        next_ticket = snap.next_ticket;
-        for (name, value) in &snap.counters {
-            // Reserved names carry hysteresis cooldowns, not counters;
-            // strip them here so `CoordInstruments::seed` never sees
-            // them and a later checkpoint re-emits them fresh.
-            if let Some(host) = name
-                .strip_prefix("consolidation_cooldown_")
-                .and_then(|s| s.parse::<usize>().ok())
-            {
-                saved_cooldowns.push((host, u32::try_from(*value).unwrap_or(u32::MAX)));
-                continue;
-            }
-            // Overload-plane scalars ride along the same way: reserved
-            // names restore limiter/breaker state, never reach the real
-            // counters, and a later checkpoint re-emits them fresh.
-            if name.starts_with(OverloadPlane::COUNTER_PREFIX) {
-                if let Some(plane) = plane.as_deref_mut() {
-                    plane.load(name, *value);
-                }
-                continue;
-            }
-            bump(&mut counters, name, *value);
-        }
-        for shard in &snap.shards {
-            let index = shard.index as usize;
-            if index < cores.len() {
-                cores[index].load_dump(&snap_to_dump(shard));
-            }
-        }
-        parked.extend(
-            snap.parked
-                .iter()
-                .map(|(t, rec, at)| (*t, rec_to_req(rec), Seconds(*at))),
-        );
-    }
-
-    let shard_of =
-        |server: usize| -> usize { layout.iter().position(|r| r.contains(&server)).unwrap_or(0) };
-    let mut hysteresis = Hysteresis::restore(n_servers, &saved_cooldowns);
-    // Submitted-but-undecided requests, in submission order.
-    let mut pending: Vec<(u64, VmRequest)> = Vec::new();
-    let mut pending_sweep = false;
-    let mut tail_retired = false;
-    for record in state.tail() {
-        pending_sweep = matches!(
-            record,
-            WalRecord::Admitted { .. }
-                | WalRecord::AdmittedCrossShard { .. }
-                | WalRecord::Queued { .. }
-                | WalRecord::Shed { .. }
-        );
-        match record {
-            WalRecord::Submit { ticket, req } => {
-                // A submit on an empty pending set opens a new batch
-                // round; retirement owed by the previous round was
-                // either consumed by its journaled retry pass or
-                // skipped (nothing parked), so the debt never carries.
-                if pending.is_empty() {
-                    tail_retired = false;
-                }
-                let request = rec_to_req(req);
-                now = now.max(request.submit);
-                next_ticket = next_ticket.max(ticket + 1);
-                bump(&mut counters, "submitted", 1);
-                bump(
-                    &mut counters,
-                    &format!("submitted_class_{}", request.priority.name()),
-                    1,
-                );
-                if let Some(plane) = plane.as_deref_mut() {
-                    plane.on_submit(request.submit.0);
-                }
-                pending.push((*ticket, request));
-            }
-            WalRecord::Clock { t } => {
-                let t = Seconds(*t);
-                now = now.max(t);
-                if let Some(plane) = plane.as_deref_mut() {
-                    plane.on_clock(t.0);
-                }
-                let mut retired = 0usize;
-                for core in cores.iter_mut() {
-                    retired += core.advance_to(t).0;
-                }
-                if pending.is_empty() {
-                    // The round's post-decision fleet-wide advance (or
-                    // a drain/AdvanceTo) made it to the journal: every
-                    // shard is synced here, so the retry pass the
-                    // coordinator runs at startup needs no re-advance.
-                    tail_retired = false;
-                } else if retired > 0 {
-                    // Mid-round advance: the re-driven resume batch
-                    // cannot observe this retirement (it is already
-                    // applied), so the coordinator must re-run the
-                    // retry pass the crashed process was about to.
-                    tail_retired = true;
-                }
-            }
-            WalRecord::Admitted {
-                ticket,
-                shard,
-                placements,
-            } => {
-                let request = pending
-                    .iter()
-                    .position(|(t, _)| t == ticket)
-                    .map(|i| pending.remove(i).1);
-                let submit = request.as_ref().map(|r| r.submit).unwrap_or(now);
-                if let Some(core) = cores.get_mut(*shard as usize) {
-                    // The live fast path advances the routed shard to
-                    // the request's submit instant before placing; any
-                    // capacity that advance freed fed the live round's
-                    // `retired` count and would have triggered a
-                    // post-batch parked-retry pass.
-                    if core.advance_to(submit).0 > 0 {
-                        tail_retired = true;
-                    }
-                    core.apply_committed(&recs_to_placements(placements));
-                }
-                bump(&mut counters, "admitted_local", 1);
-                if let Some(request) = request {
-                    bump(
-                        &mut counters,
-                        &format!("admitted_class_{}", request.priority.name()),
-                        1,
-                    );
-                    if let Some(plane) = plane.as_deref_mut() {
-                        plane.on_admitted(&[*shard as usize], request.submit.0, request.deadline.0);
-                    }
-                }
-            }
-            WalRecord::AdmittedCrossShard {
-                ticket,
-                shards,
-                placements,
-            } => {
-                let request = if let Some(i) = parked.iter().position(|(t, _, _)| t == ticket) {
-                    let (_, request, _) = parked.remove(i);
-                    bump(&mut counters, "admitted_after_wait", 1);
-                    Some(request)
-                } else {
-                    pending
-                        .iter()
-                        .position(|(t, _)| t == ticket)
-                        .map(|i| pending.remove(i).1)
-                };
-                let placements = recs_to_placements(placements);
-                // Ordered by shard index: replayed `apply_committed`
-                // calls happen in the same deterministic order on every
-                // recovery of the same journal.
-                let mut per_shard: BTreeMap<usize, Vec<Placement>> = BTreeMap::new();
-                for p in &placements {
-                    per_shard
-                        .entry(shard_of(p.server.index()))
-                        .or_default()
-                        .push(*p);
-                }
-                for (shard, group) in per_shard {
-                    if let Some(core) = cores.get_mut(shard) {
-                        core.apply_committed(&group);
-                    }
-                }
-                bump(&mut counters, "admitted_cross_shard", 1);
-                if let Some(request) = request {
-                    bump(
-                        &mut counters,
-                        &format!("admitted_class_{}", request.priority.name()),
-                        1,
-                    );
-                    if let Some(plane) = plane.as_deref_mut() {
-                        let involved: Vec<usize> = shards.iter().map(|&s| s as usize).collect();
-                        plane.on_admitted(&involved, request.submit.0, request.deadline.0);
-                    }
-                }
-            }
-            WalRecord::Queued { ticket, .. } => {
-                if let Some(i) = pending.iter().position(|(t, _)| t == ticket) {
-                    let (ticket, request) = pending.remove(i);
-                    // The live run parks at its current virtual clock,
-                    // which by this frame has absorbed the same
-                    // submit/clock maxima replay tracks in `now` — the
-                    // queue-age baseline re-derives bit-identically.
-                    parked.push((ticket, request, now));
-                }
-            }
-            WalRecord::Requeued { .. } => {
-                bump(&mut counters, "requeued", 1);
-            }
-            WalRecord::Migrate {
-                epoch,
-                t,
-                stall,
-                moves,
-            } => {
-                // The frame is the replay authority: re-execute exactly
-                // the journaled moves (never re-plan). Draining "the
-                // first resident of the journaled type" picks the same
-                // VM the live run drained because resident vectors
-                // rebuild bit-exact, and the journaled stall — not a
-                // recomputed one — delays its finish instant.
-                let t = Seconds(*t);
-                now = now.max(t);
-                hysteresis.begin_sweep();
-                let stall = Seconds(*stall);
-                let mut replayed: Vec<Move> = Vec::new();
-                let mut executed = 0u64;
-                let mut drained: BTreeSet<usize> = BTreeSet::new();
-                for m in moves {
-                    let Some(&ty) = WorkloadType::ALL.get(usize::from(m.ty)) else {
-                        continue;
-                    };
-                    let from = ServerId::from(m.from as usize);
-                    let to = ServerId::from(m.to as usize);
-                    replayed.push(Move {
-                        from: from.index(),
-                        to: to.index(),
-                        ty,
-                    });
-                    let Some(finish) = cores
-                        .get_mut(shard_of(from.index()))
-                        .and_then(|core| core.drain_vm(from, ty))
-                    else {
-                        continue;
-                    };
-                    let landed = cores
-                        .get_mut(shard_of(to.index()))
-                        .is_some_and(|core| core.inject_vm(to, ty, finish + stall));
-                    if landed {
-                        executed += 1;
-                        drained.insert(from.index());
-                    } else if let Some(core) = cores.get_mut(shard_of(from.index())) {
-                        core.inject_vm(from, ty, finish);
-                    }
-                }
-                hysteresis.commit(
-                    &MovePlan {
-                        moves: replayed,
-                        emptied: Vec::new(),
-                    },
-                    consolidation.map_or(1, |c| c.hysteresis_sweeps),
-                );
-                let prev = counters.get("consolidation_epoch").copied().unwrap_or(0);
-                if *epoch > prev {
-                    bump(&mut counters, "consolidation_epoch", epoch - prev);
-                }
-                bump(&mut counters, "consolidation_sweeps", 1);
-                bump(&mut counters, "consolidation_migrations", executed);
-                bump(
-                    &mut counters,
-                    "consolidation_hosts_drained",
-                    drained.len() as u64,
-                );
-            }
-            WalRecord::Shed { ticket, reason } => {
-                pending.retain(|(t, _)| t != ticket);
-                parked.retain(|(t, _, _)| t != ticket);
-                let Some(reason) = ShedReason::from_index(*reason) else {
-                    continue;
-                };
-                if let Some(plane) = plane.as_deref_mut() {
-                    plane.on_shed(reason.cuts_limits());
-                }
-                if let Some(name) = reason.counter_name() {
-                    bump(&mut counters, name, 1);
-                }
-            }
-        }
-    }
-
-    Rebuilt {
-        now,
-        next_ticket,
-        parked,
-        resume: pending,
-        counters: counters.into_iter().collect(),
-        hysteresis,
-        pending_sweep,
-        tail_retired,
-        frames_replayed: state.tail().len() as u64,
     }
 }

@@ -28,7 +28,7 @@
 //! requests in one wave picking the same servers) is detected locally
 //! before any reserve message is sent.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TrySendError};
 use std::sync::Arc;
@@ -52,8 +52,9 @@ use eavm_durability::{
 use eavm_migrate::{plan_moves, ConsolidationConfig, HostLoad, Hysteresis};
 
 use crate::durable::{
-    dump_to_snap, make_storage, parked_to_rec, rebuild, req_to_rec, verdict_to_record,
-    DurInstruments, DurabilityConfig, DurabilityStats, Journal, RecoveryReport,
+    dump_to_snap, make_storage, overload_to_rec, parked_to_rec, rec_to_overload, rec_to_req,
+    req_to_rec, snap_to_dump, verdict_to_record, DurInstruments, DurabilityConfig, DurabilityStats,
+    Journal, RecoveryReport,
 };
 use crate::shard::{
     build_strategy, run_worker, CacheStats, ServiceStrategy, ShardCore, ShardInstruments, ShardMsg,
@@ -244,19 +245,6 @@ pub enum ShedReason {
 }
 
 impl ShedReason {
-    /// Every reason, in wire-index order. Adding a variant without
-    /// extending this array (and the exhaustive matches below) is a
-    /// compile error — the WAL codec can never silently drop a reason.
-    pub const ALL: [ShedReason; 7] = [
-        ShedReason::AdmissionFull,
-        ShedReason::WaitQueueFull,
-        ShedReason::Unplaceable,
-        ShedReason::ShardFailure,
-        ShedReason::StorageDegraded,
-        ShedReason::QueueAged,
-        ShedReason::BrownoutClass,
-    ];
-
     /// Stable wire index, mirrored by `eavm-durability`'s
     /// `shed_reason_name` table. Exhaustive on purpose: a new variant
     /// fails to compile here instead of round-tripping as garbage.
@@ -272,33 +260,12 @@ impl ShedReason {
         }
     }
 
-    /// Inverse of [`ShedReason::index`]; `None` for indices no variant
-    /// claims (a corrupt or future frame).
-    pub fn from_index(index: u8) -> Option<ShedReason> {
-        ShedReason::ALL.iter().copied().find(|r| r.index() == index)
-    }
-
-    /// The stable snapshot-counter name recovery bumps when replaying a
-    /// journaled shed with this reason. `None` for `AdmissionFull`,
-    /// which is decided handle-side before anything is journaled.
-    pub fn counter_name(self) -> Option<&'static str> {
-        match self {
-            ShedReason::AdmissionFull => None,
-            ShedReason::WaitQueueFull => Some("shed_wait_queue"),
-            ShedReason::Unplaceable => Some("shed_unplaceable"),
-            ShedReason::ShardFailure => Some("shed_shard_failure"),
-            ShedReason::StorageDegraded => Some("shed_storage_degraded"),
-            ShedReason::QueueAged => Some("shed_queue_aged"),
-            ShedReason::BrownoutClass => Some("shed_brownout_class"),
-        }
-    }
-
     /// Whether the overload plane's AIMD limiter cuts on this shed.
     /// Only genuine overload signals cut (a full wait queue, an aged-out
     /// entry). Brownout sheds must NOT cut: cutting on the ladder's own
-    /// decisions is a positive-feedback death spiral. Used identically
-    /// by the live verdict path and WAL replay, so limiter state stays
-    /// a pure function of the journal.
+    /// decisions is a positive-feedback death spiral. Read when the shed
+    /// record becomes durable, so limiter state stays a pure function of
+    /// the journal.
     pub fn cuts_limits(self) -> bool {
         match self {
             ShedReason::WaitQueueFull | ShedReason::QueueAged => true,
@@ -405,6 +372,20 @@ pub enum SubmitOutcome {
     Shed(u64),
 }
 
+/// One coordinator input. Together with the checkpointed state, the
+/// sequence of inputs determines every coordinator decision: the WAL
+/// journals each one (a batch as its run of `Submit` frames) before its
+/// effects, and recovery feeds the journaled ones back through
+/// [`Coordinator::step`].
+pub(crate) enum Input {
+    /// Submissions drained from the mailbox together, in ticket order.
+    Batch(Vec<(u64, VmRequest)>),
+    /// [`AllocService::advance_to`].
+    AdvanceTo(Seconds),
+    /// [`AllocService::drain`].
+    Drain,
+}
+
 enum Ctl {
     Submit {
         ticket: u64,
@@ -441,16 +422,53 @@ pub struct AllocService {
 impl AllocService {
     /// Spawn the coordinator and shard workers over `db`.
     pub fn start(db: ModelDatabase, config: ServiceConfig) -> Result<AllocService, EavmError> {
+        Self::validate(&config)?;
         Self::launch(db, config, None, None).map(|(service, _)| service)
     }
 
+    /// Refuse a configuration before anything touches the journal
+    /// directory, so a refused recovery leaves it as it found it.
+    fn validate(config: &ServiceConfig) -> Result<(), EavmError> {
+        if config.shards == 0 {
+            return Err(EavmError::Parse("service needs at least one shard".into()));
+        }
+        if config.servers < config.shards {
+            return Err(EavmError::Parse(format!(
+                "{} servers cannot populate {} shards",
+                config.servers, config.shards
+            )));
+        }
+        if let Some(consolidation) = &config.consolidation {
+            consolidation.validate().map_err(EavmError::InvalidConfig)?;
+        }
+        // Recovery re-runs the coordinator on its journaled inputs, so a
+        // journal is only sound when nothing outside it steers decisions.
+        let unjournaled = if config.worker_faults.is_some() {
+            Some("injected worker kills: a respawned shard re-estimates finish times from the mirror")
+        } else if config.lookup_faults.is_enabled() {
+            Some("injected lookup faults: the lookup-fault ordinal restarts with the process")
+        } else {
+            None
+        };
+        if let (Some(_), Some(why)) = (&config.durability, unjournaled) {
+            return Err(EavmError::InvalidConfig(format!(
+                "a journal cannot be combined with {why}; no WAL frame records that, so the \
+                 journal could never replay exactly"
+            )));
+        }
+        Ok(())
+    }
+
     /// Recover a service from its journal directory (`config.durability`
-    /// must be set): load the newest usable checkpoint, replay the WAL
-    /// tail deterministically (no search re-runs — journaled decisions
-    /// are re-applied with their original placements and clock
-    /// advances), re-drive any submitted-but-undecided requests before
-    /// new traffic, and continue journaling where the crashed process
-    /// stopped. An empty journal directory recovers to a fresh service.
+    /// must be set): load the newest usable checkpoint, then re-run the
+    /// coordinator on the inputs journaled in the WAL tail, checking
+    /// every frame it writes against the one already on disk. The round
+    /// the crash cut short is finished by the same code that ran it live,
+    /// and journaling continues where the crashed process stopped. A
+    /// re-execution that writes anything other than the journaled frame
+    /// fails with [`EavmError::Durability`] naming the frame: recovery
+    /// never silently builds a different fleet. An empty journal
+    /// directory recovers to a fresh service.
     pub fn recover(
         db: ModelDatabase,
         config: ServiceConfig,
@@ -460,6 +478,7 @@ impl AllocService {
                 "recover needs a journal directory (ServiceConfig::with_journal_dir)".into(),
             )
         })?;
+        Self::validate(&config)?;
         let dir = dcfg.dir.clone();
         // Recovery reads route through the configured storage backend,
         // so injected faults exercise this path too.
@@ -482,18 +501,6 @@ impl AllocService {
         recovered: Option<RecoveredState>,
         scrubbed: Option<ScrubReport>,
     ) -> Result<(AllocService, RecoveryReport), EavmError> {
-        if config.shards == 0 {
-            return Err(EavmError::Parse("service needs at least one shard".into()));
-        }
-        if config.servers < config.shards {
-            return Err(EavmError::Parse(format!(
-                "{} servers cannot populate {} shards",
-                config.servers, config.shards
-            )));
-        }
-        if let Some(consolidation) = &config.consolidation {
-            consolidation.validate().map_err(EavmError::InvalidConfig)?;
-        }
         // Resolve the overload plane up front: auto limits come from the
         // fleet shape, and an unarmed breaker mirrors the lookup-fault
         // stream when one is injected (the probe process then observes
@@ -553,71 +560,42 @@ impl AllocService {
         };
         let counters = CoordInstruments::new(&telemetry, shed_admission.clone());
 
-        // Rebuild recovered state into the fresh cores *before* the
-        // workers spawn: load the snapshot, replay the WAL tail
-        // deterministically, then seed the coordinator counters with
-        // the crashed process's values.
-        let mut report = RecoveryReport::default();
+        // Load the checkpoint into the fresh cores *before* the workers
+        // spawn; the WAL tail is re-executed once the coordinator exists.
+        let mut now = Seconds(0.0);
+        let mut next_ticket = 0;
         let mut hysteresis = Hysteresis::new(config.servers);
-        let mut pending_sweep = false;
-        let mut resume_retired = false;
-        let (now, restored_parked, resume, next_ticket) = match recovered.as_ref() {
-            Some(state) => {
-                let rebuilt = rebuild(
-                    state,
-                    &mut cores,
-                    &layout,
-                    config.consolidation.as_ref(),
-                    plane.as_mut(),
-                );
-                hysteresis = rebuilt.hysteresis;
-                pending_sweep = rebuilt.pending_sweep;
-                resume_retired = rebuilt.tail_retired;
-                counters.seed(&rebuilt.counters);
-                counters
-                    .durability
-                    .frames_replayed
-                    .add(rebuilt.frames_replayed);
-                counters
-                    .durability
-                    .snapshots_loaded
-                    .add(state.snapshots_loaded);
-                counters
-                    .durability
-                    .torn_frames_dropped
-                    .add(state.torn_frames_dropped);
-                counters.durability.tmp_swept.add(state.tmp_swept);
-                if let Some(report) = &scrubbed {
-                    counters
-                        .durability
-                        .snapshots_quarantined
-                        .add(report.snapshots_quarantined());
-                    counters
-                        .durability
-                        .torn_tails_repaired
-                        .add(report.torn_tails_repaired);
-                    counters.durability.tmp_swept.add(report.tmp_swept);
-                }
-                report = RecoveryReport {
-                    snapshots_loaded: state.snapshots_loaded,
-                    frames_replayed: rebuilt.frames_replayed,
-                    torn_frames_dropped: state.torn_frames_dropped,
-                    resumed_inflight: rebuilt.resume.len(),
-                    restored_parked: rebuilt.parked.len(),
-                    resident_vms: cores.iter().map(|c| c.stats().resident_vms).sum(),
-                    virtual_now: rebuilt.now,
-                    next_ticket: rebuilt.next_ticket,
-                    verdicts: state.verdict_lines(),
-                };
-                (
-                    rebuilt.now,
-                    rebuilt.parked,
-                    rebuilt.resume,
-                    rebuilt.next_ticket,
-                )
+        let mut restored_parked: Vec<(u64, VmRequest, Seconds)> = Vec::new();
+        if let Some(snap) = recovered.as_ref().and_then(|s| s.snapshot.as_ref()) {
+            now = Seconds(snap.now);
+            next_ticket = snap.next_ticket;
+            counters.seed(&snap.counters);
+            hysteresis = Hysteresis::restore(config.servers, &snap.cooldowns);
+            if let (Some(plane), Some(saved)) = (plane.as_mut(), &snap.overload) {
+                plane.restore(&rec_to_overload(saved));
             }
-            None => (Seconds(0.0), Vec::new(), Vec::new(), 0),
-        };
+            for shard in &snap.shards {
+                if let Some(core) = cores.get_mut(shard.index as usize) {
+                    core.load_dump(&snap_to_dump(shard));
+                }
+            }
+            restored_parked.extend(
+                snap.parked
+                    .iter()
+                    .map(|(t, rec, at)| (*t, rec_to_req(rec), Seconds(*at))),
+            );
+        }
+        if let Some(state) = &recovered {
+            let d = &counters.durability;
+            d.snapshots_loaded.add(state.snapshots_loaded);
+            d.torn_frames_dropped.add(state.torn_frames_dropped);
+            d.tmp_swept.add(state.tmp_swept);
+            if let Some(report) = &scrubbed {
+                d.snapshots_quarantined.add(report.snapshots_quarantined());
+                d.torn_tails_repaired.add(report.torn_tails_repaired);
+                d.tmp_swept.add(report.tmp_swept);
+            }
+        }
         let journal = match &config.durability {
             Some(dcfg) => Some(Journal::open(
                 dcfg,
@@ -626,7 +604,7 @@ impl AllocService {
             )?),
             None => None,
         };
-        // The mirror starts as the rebuilt cores' exact committed state
+        // The mirror starts as the loaded cores' exact committed state
         // (all-empty on a fresh start; servers are contiguous in shard
         // order, so concatenation indexes by server id).
         let mirror: Vec<ServerView> = cores.iter().flat_map(|core| core.snapshot()).collect();
@@ -662,68 +640,72 @@ impl AllocService {
         let (ctl_tx, ctl_rx) = sync_channel(config.queue_capacity);
         let (verdict_tx, verdict_rx) = channel();
         counters.parked_depth.set(restored_parked.len() as i64);
-        // Seed the verdict-time metadata (submit, deadline, class) for
-        // every recovered ticket that still awaits a final verdict —
-        // re-driven in-flight requests and restored parked entries
-        // alike — so the plane's hooks and the class counters see the
-        // same arguments the crashed process would have supplied.
-        let mut meta: BTreeMap<u64, (Seconds, Seconds, Priority)> = BTreeMap::new();
-        for (ticket, request) in &resume {
-            meta.insert(
-                *ticket,
-                (request.submit, request.deadline, request.priority),
-            );
-        }
-        for (ticket, request, _) in &restored_parked {
-            meta.insert(
-                *ticket,
-                (request.submit, request.deadline, request.priority),
-            );
-        }
-        let coordinator = {
-            let shards = config.shards;
-            let mut coord = Coordinator {
-                config,
-                db,
-                layout,
-                shards: shard_txs,
-                instruments,
-                fallbacks,
-                respawned: Vec::new(),
-                irrecoverable: vec![false; shards],
-                global,
-                global_table,
-                mirror,
-                ctl_rx,
-                verdict_tx,
-                parked: restored_parked
-                    .into_iter()
-                    .map(|(ticket, request, parked_at)| Parked {
-                        ticket,
-                        view: Coordinator::view_of(&request),
-                        submit: request.submit,
-                        priority: request.priority,
-                        parked_at,
-                    })
-                    .collect(),
-                inflight: BTreeMap::new(),
-                meta,
-                plane,
-                now,
-                counters,
-                journal,
-                resume,
-                ticket_watermark: next_ticket,
-                hysteresis,
-                pending_sweep,
-                resume_retired,
-                storage_degraded: false,
-            };
-            std::thread::Builder::new()
-                .name("eavm-coordinator".into())
-                .spawn(move || coord.run())
-                .map_err(EavmError::Io)?
+        // Seed the verdict-time metadata (submit, deadline, class) of
+        // every restored parked entry, so the plane's hooks and the
+        // class counters see the arguments the crashed process would
+        // have supplied when it finally decides them.
+        let meta: BTreeMap<u64, (Seconds, Seconds, Priority)> = restored_parked
+            .iter()
+            .map(|(ticket, request, _)| {
+                (
+                    *ticket,
+                    (request.submit, request.deadline, request.priority),
+                )
+            })
+            .collect();
+        let shards = config.shards;
+        let mut coord = Coordinator {
+            config,
+            db,
+            layout,
+            shards: shard_txs,
+            instruments,
+            fallbacks,
+            respawned: Vec::new(),
+            irrecoverable: vec![false; shards],
+            global,
+            global_table,
+            mirror,
+            ctl_rx,
+            verdict_tx,
+            parked: restored_parked
+                .into_iter()
+                .map(|(ticket, request, parked_at)| Parked {
+                    ticket,
+                    view: Coordinator::view_of(&request),
+                    submit: request.submit,
+                    priority: request.priority,
+                    parked_at,
+                })
+                .collect(),
+            inflight: BTreeMap::new(),
+            meta,
+            plane,
+            now,
+            counters,
+            journal,
+            ticket_watermark: next_ticket,
+            hysteresis,
+            storage_degraded: false,
         };
+        let report = match &recovered {
+            Some(state) => match coord.replay(state) {
+                Ok(report) => report,
+                Err(err) => {
+                    coord.stop();
+                    for handle in workers {
+                        let _ = handle.join();
+                    }
+                    return Err(err);
+                }
+            },
+            None => RecoveryReport::default(),
+        };
+        let next_ticket = coord.ticket_watermark;
+        let coordinator = std::thread::Builder::new()
+            .name("eavm-coordinator".into())
+            .spawn(move || coord.run())
+            .map_err(EavmError::Io)?;
         Ok((
             AllocService {
                 ctl_tx,
@@ -939,9 +921,9 @@ struct CoordInstruments {
     consolidation_migrations: Counter,
     /// Donor hosts fully drained (powered down) by sweeps.
     consolidation_hosts_drained: Counter,
-    /// The last swept epoch — monotone, so a counter models it; this is
-    /// the durable watermark that keeps recovery from re-planning a
-    /// sweep whose journaled frame it already replayed.
+    /// The last swept epoch — monotone, so a counter models it;
+    /// checkpoints persist it, so a recovered coordinator sweeps at the
+    /// same epoch crossings the crashed one would have.
     consolidation_epoch: Counter,
 }
 
@@ -1056,7 +1038,7 @@ impl CoordInstruments {
         ]
     }
 
-    /// Restore counter values saved by a checkpoint (plus tail replay).
+    /// Restore counter values saved by a checkpoint.
     fn seed(&self, values: &[(String, u64)]) {
         for (name, value) in values {
             if *value == 0 {
@@ -1134,31 +1116,20 @@ struct Coordinator {
     /// The overload-control plane; `None` without
     /// `ServiceConfig::overload`. State mutates only in its event
     /// hooks, each fired right after the matching WAL record becomes
-    /// durable — recovery replays the identical hooks from the journal.
+    /// durable; checkpoints persist it.
     plane: Option<OverloadPlane>,
     now: Seconds,
     counters: CoordInstruments,
-    /// Write-ahead journal; `None` without durability. Every admission
-    /// event is appended *before* its verdict is acked.
+    /// Write-ahead journal; `None` without durability. Every input is
+    /// appended before its effects, every decision before its ack.
     journal: Option<Journal>,
-    /// Recovered submitted-but-undecided requests, re-driven as the
-    /// coordinator's first batch before any new traffic.
-    resume: Vec<(u64, VmRequest)>,
     /// Strictly above every ticket seen (or recovered); checkpoints
     /// persist it as `next_ticket`.
     ticket_watermark: u64,
     /// Anti-flapping cooldowns of the consolidation policy; checkpoints
-    /// persist the nonzero entries and recovery replays journaled
-    /// sweeps, so planned moves after a crash match the uncrashed run.
+    /// persist them, so planned moves after a crash match the uncrashed
+    /// run.
     hysteresis: Hysteresis,
-    /// Recovery found the journal ending on a completed round whose
-    /// boundary `Migrate` frame may have been lost to the crash; see
-    /// [`Rebuilt::pending_sweep`].
-    pending_sweep: bool,
-    /// The crashed round's journaled `Clock` retired capacity the
-    /// rebuild already applied, so re-driving the resume batch cannot
-    /// observe it; see [`Rebuilt::tail_retired`].
-    resume_retired: bool,
     /// Sticky read-only degradation: a journal append exhausted its
     /// retries, so no further decision can be made durable. Every
     /// subsequent request is shed with [`ShedReason::StorageDegraded`]
@@ -1167,64 +1138,14 @@ struct Coordinator {
 }
 
 impl Coordinator {
+    /// The live loop: feed [`Coordinator::step`] from the mailbox until
+    /// shutdown.
     fn run(&mut self) {
-        // Re-drive recovered in-flight requests before any new traffic:
-        // deterministic re-execution means they land exactly where the
-        // crashed process would have put them.
-        let resume = std::mem::take(&mut self.resume);
-        let pending_sweep = std::mem::take(&mut self.pending_sweep);
-        let resume_retired = std::mem::take(&mut self.resume_retired);
-        if !resume.is_empty() {
-            self.process_batch(resume, true);
-            if resume_retired && !self.parked.is_empty() {
-                // The crashed round's advance retired capacity, so the
-                // live run followed its batch decisions with a parked
-                // retry — but the rebuild already applied that
-                // retirement, so the re-driven batch above saw zero
-                // freed capacity and skipped it. Re-run the exact tail
-                // of `process_batch`: the re-journaled `Clock` and the
-                // retry admissions land frame-for-frame where the
-                // crashed process would have put them.
-                self.advance(self.now);
-                self.retry_parked();
-            }
-            self.maybe_consolidate();
-            self.maybe_checkpoint();
-        } else {
-            // A crash can also cut a round's parked-retry sequence
-            // short: the crashed process had already retired capacity
-            // and begun admitting waiters at this instant, so finish
-            // the sequence now, before any new traffic — the rebuilt
-            // fleet is exactly the mid-sequence state, so each re-run
-            // search lands where the crashed process would have. No-op
-            // when nothing parked fits (including every fresh start).
-            let waited = self.counters.admitted_after_wait.get();
-            if !self.parked.is_empty() {
-                if resume_retired {
-                    // The crashed round's fast path freed capacity but
-                    // its fleet-wide sync was lost with the crash: sync
-                    // now (re-journaling the `Clock` the live run wrote)
-                    // so the retry searches the fleet the crashed
-                    // process saw, not one with stale shard clocks.
-                    self.advance(self.now);
-                }
-                self.retry_parked();
-            }
-            if pending_sweep || self.counters.admitted_after_wait.get() > waited {
-                // The round those retries belonged to closed with a
-                // consolidation check; likewise if the journal ended on
-                // a decision frame, the boundary sweep may have been
-                // due but its `Migrate` frame lost — re-fire before any
-                // new admission sees the un-consolidated fleet. No-op
-                // when the watermark is current.
-                self.maybe_consolidate();
-            }
-        }
-        let mut batch: Vec<(u64, VmRequest)> = Vec::new();
         loop {
             let Ok(first) = self.ctl_rx.recv() else { break };
             // Greedily drain whatever else is already queued so the fast
             // path dispatches as one parallel wave across shards.
+            let mut batch: Vec<(u64, VmRequest)> = Vec::new();
             let mut control = None;
             let mut msg = Some(first);
             loop {
@@ -1237,7 +1158,6 @@ impl Coordinator {
                         if let Some(t0) = t0 {
                             self.inflight.insert(ticket, t0);
                         }
-                        self.ticket_watermark = self.ticket_watermark.max(ticket + 1);
                         batch.push((ticket, request));
                     }
                     Some(other) => {
@@ -1252,26 +1172,15 @@ impl Coordinator {
                 }
             }
             if !batch.is_empty() {
-                self.process_batch(std::mem::take(&mut batch), false);
+                self.step(Input::Batch(batch));
             }
             match control {
                 Some(Ctl::AdvanceTo { t, done }) => {
-                    // Mixes only shrink when VMs retire, so parked
-                    // requests can only have become placeable if the
-                    // advance actually retired something. Queue aging is
-                    // pure clock, though: it must run even on a
-                    // zero-retirement advance, or a recovered run's
-                    // unconditional startup retry would shed entries the
-                    // live run had not.
-                    if self.advance(t) > 0 {
-                        self.retry_parked();
-                    } else {
-                        self.shed_aged();
-                    }
+                    self.step(Input::AdvanceTo(t));
                     let _ = done.send(self.health());
                 }
                 Some(Ctl::Drain { done }) => {
-                    let report = self.drain();
+                    let report = self.step(Input::Drain).unwrap_or_default();
                     let _ = done.send(self.health().map(|()| report));
                 }
                 Some(Ctl::Stats { reply }) => {
@@ -1280,22 +1189,99 @@ impl Coordinator {
                 Some(Ctl::Shutdown) => break,
                 Some(Ctl::Submit { .. }) | None => {}
             }
-            // Consolidation and checkpoints happen only here, between
-            // fully processed control rounds: no request is mid-flight,
-            // so the sweep sees a settled mirror and the snapshot needs
-            // no pending set. Sweep first — a due checkpoint then
-            // captures the post-sweep fleet.
-            self.maybe_consolidate();
-            self.maybe_checkpoint();
         }
+        self.stop();
+    }
+
+    /// Apply one input, then close the round: consolidation and
+    /// checkpoints happen only here, with no request mid-flight, so the
+    /// sweep sees a settled mirror and the snapshot needs no pending
+    /// set. Sweep first — a due checkpoint then captures the post-sweep
+    /// fleet. Every coordinator state change flows through here, live
+    /// and in recovery alike; only `Drain` has a report to return.
+    fn step(&mut self, input: Input) -> Option<DrainReport> {
+        let report = match input {
+            Input::Batch(batch) => {
+                self.process_batch(batch);
+                None
+            }
+            Input::AdvanceTo(t) => {
+                self.journal_append(&WalRecord::Advance { t: t.0 });
+                // Mixes only shrink when VMs retire, so parked requests
+                // can only have become placeable if the advance actually
+                // retired something. Queue aging is pure clock, though,
+                // so it runs on a zero-retirement advance too.
+                if self.advance(t) > 0 {
+                    self.retry_parked();
+                } else {
+                    self.shed_aged();
+                }
+                None
+            }
+            Input::Drain => {
+                self.journal_append(&WalRecord::Drain);
+                Some(self.drain())
+            }
+        };
+        self.maybe_consolidate();
+        self.maybe_checkpoint();
+        report
+    }
+
+    /// Recovery: feed the inputs journaled in the WAL tail back through
+    /// [`Coordinator::step`] while the journal verifies every frame the
+    /// re-execution appends. The round the crash cut short runs to its
+    /// end, appending for real once the cursor passes the end of the
+    /// WAL. Frames verified on the way send no verdicts: the report
+    /// carries them.
+    fn replay(&mut self, state: &RecoveredState) -> Result<RecoveryReport, EavmError> {
+        while let Some(input) = self
+            .journal
+            .as_ref()
+            .map(Journal::next_input)
+            .transpose()?
+            .flatten()
+        {
+            self.step(input);
+            if let Some(divergence) = self.journal.as_mut().and_then(Journal::take_divergence) {
+                return Err(divergence);
+            }
+        }
+        let frames_replayed = state.tail().len() as u64;
+        self.counters
+            .durability
+            .frames_replayed
+            .add(frames_replayed);
+        let verdicts = state.verdict_lines();
+        let decided: BTreeSet<u64> = verdicts.iter().map(|(ticket, _)| *ticket).collect();
+        Ok(RecoveryReport {
+            snapshots_loaded: state.snapshots_loaded,
+            frames_replayed,
+            torn_frames_dropped: state.torn_frames_dropped,
+            resumed_inflight: state
+                .records
+                .iter()
+                .filter(
+                    |r| matches!(r, WalRecord::Submit { ticket, .. } if !decided.contains(ticket)),
+                )
+                .count(),
+            restored_parked: self.parked.len(),
+            resident_vms: self.mirror.iter().map(|s| s.mix.total() as usize).sum(),
+            virtual_now: self.now,
+            next_ticket: self.ticket_watermark,
+            verdicts,
+        })
+    }
+
+    /// Make the journal durable, stop every shard worker, and join the
+    /// respawned ones (originals are joined by [`AllocService`]).
+    fn stop(&mut self) {
         if let Some(journal) = self.journal.as_mut() {
             let _ = journal.sync();
         }
         for tx in &self.shards {
             let _ = tx.send(ShardMsg::Shutdown);
         }
-        // Original workers are joined by `AllocService`; respawned ones
-        // are ours.
         for handle in self.respawned.drain(..) {
             let _ = handle.join();
         }
@@ -1346,6 +1332,9 @@ impl Coordinator {
                 .admission_latency
                 .record(t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
         }
+        // A verdict recovery re-derives was already handed out by the
+        // crashed process: it is verified against the journal, not sent.
+        let replayed = self.journal.as_ref().is_some_and(Journal::replaying);
         // Journal-before-ack: the verdict becomes durable (and the
         // injected crash schedule gets its chance to abort) before the
         // client can observe it, so recovery never re-decides a request
@@ -1358,7 +1347,7 @@ impl Coordinator {
         } else {
             self.counters.shed_storage_degraded.add(1);
             // The degraded shed is the ticket's final answer; it was
-            // never journaled, so no plane hook fires for it (replay
+            // never journaled, so no plane hook fires for it (recovery
             // will not see it either).
             self.meta.remove(&ticket);
             (
@@ -1368,14 +1357,16 @@ impl Coordinator {
                 false,
             )
         };
-        let _ = self.verdict_tx.send((ticket, verdict));
+        if !replayed {
+            let _ = self.verdict_tx.send((ticket, verdict));
+        }
         acked
     }
 
     /// A verdict record just became durable: fire the overload plane's
-    /// matching hook and settle the per-ticket metadata. Mirrored
-    /// record-for-record by WAL replay in `rebuild`, which is what
-    /// keeps plane state a pure function of the journal.
+    /// matching hook and settle the per-ticket metadata. Firing only on
+    /// durable records is what keeps plane state a pure function of the
+    /// journal.
     fn note_verdict(&mut self, ticket: u64, verdict: &Verdict) {
         match verdict {
             Verdict::Admitted { shard, .. } => {
@@ -1409,8 +1400,7 @@ impl Coordinator {
 
     /// A `Submit` record just became durable: register the ticket's
     /// verdict-time metadata, count its class, and advance the plane
-    /// (clock, breaker probe). Replay fires the identical hook per
-    /// journaled `Submit` frame.
+    /// (clock, breaker probe).
     fn note_submit(&mut self, ticket: u64, request: &VmRequest) {
         self.meta
             .insert(ticket, (request.submit, request.deadline, request.priority));
@@ -1448,21 +1438,20 @@ impl Coordinator {
         }
     }
 
-    /// Fan the batch out as parallel fast-path attempts (each routed to
-    /// the shard with the most free slots for its type), collect
-    /// replies in ticket order, then walk the failures through the
-    /// slow path. `resumed` marks recovered in-flight requests being
-    /// re-driven: their submissions were already journaled and counted
-    /// by the crashed process, so neither happens again.
-    fn process_batch(&mut self, batch: Vec<(u64, VmRequest)>, resumed: bool) {
+    /// Journal the batch's submissions, fan it out as parallel
+    /// fast-path attempts (each routed to the shard with the most free
+    /// slots for its type), collect replies in ticket order, then walk
+    /// the failures through the slow path.
+    fn process_batch(&mut self, batch: Vec<(u64, VmRequest)>) {
+        for (ticket, _) in &batch {
+            self.ticket_watermark = self.ticket_watermark.max(ticket + 1);
+        }
         if self.storage_degraded {
             // Read-only degradation: no submission or decision can be
             // made durable, so nothing may mutate the fleet — every
             // request still gets exactly one (shed) verdict, and still
             // counts as submitted so conservation holds.
-            if !resumed {
-                self.counters.submitted.add(batch.len() as u64);
-            }
+            self.counters.submitted.add(batch.len() as u64);
             for (ticket, request) in batch {
                 let view = Self::view_of(&request);
                 self.shed_event(ticket, &view, "storage degraded");
@@ -1475,27 +1464,23 @@ impl Coordinator {
             }
             return;
         }
-        if !resumed {
-            for (ticket, request) in &batch {
-                let record = WalRecord::Submit {
-                    ticket: *ticket,
-                    req: req_to_rec(request),
-                };
-                if !self.journal_append(&record) {
-                    // Degraded mid-batch: later submissions stay
-                    // unjournaled; recovery re-drives them from the
-                    // trace, and their verdicts below degrade to sheds.
-                    break;
-                }
-                self.note_submit(*ticket, request);
+        for (ticket, request) in &batch {
+            let record = WalRecord::Submit {
+                ticket: *ticket,
+                req: req_to_rec(request),
+            };
+            if !self.journal_append(&record) {
+                // Degraded mid-batch: later submissions stay
+                // unjournaled; recovery re-drives them from the trace,
+                // and their verdicts below degrade to sheds.
+                break;
             }
-            self.counters.submitted.add(batch.len() as u64);
+            self.note_submit(*ticket, request);
         }
-        // The submits above advanced the plane's durable clock, and a
-        // recovered process re-runs the (aged-pruning) retry pass at
-        // startup before re-driving this very batch. Prune here too, so
-        // the brownout rung and queue-full decisions below see exactly
-        // the wait queue a post-crash replay would.
+        self.counters.submitted.add(batch.len() as u64);
+        // The submits above advanced the plane's clock: prune aged
+        // entries before the brownout rung and queue-full decisions
+        // below read the wait queue.
         self.shed_aged();
         let mut pending = Vec::with_capacity(batch.len());
         // VMs dispatched earlier in this wave, per shard and type, so
@@ -1506,10 +1491,7 @@ impl Coordinator {
             let view = Self::view_of(request);
             self.now = self.now.max(request.submit);
             // Brownout ladder: under pressure, sheddable classes are
-            // refused before any placement work. Applies to re-driven
-            // resumed requests too — their decision never made the
-            // journal, and the rebuilt plane/mirror state is exactly
-            // what the crashed process would have judged them by.
+            // refused before any placement work.
             if OverloadPlane::sheds_class(self.brownout_rung(), request.priority) {
                 self.shed_event(*ticket, &view, "brownout class");
                 if self.verdict(
@@ -1579,9 +1561,8 @@ impl Coordinator {
         if !fallbacks.is_empty() {
             // The slow path searches the whole fleet, so every shard's
             // clock (and the mirror) must be synced to now first. The
-            // advance journals a Clock frame, so the aging pass must
-            // run before any slow-path park decision (crash parity,
-            // same as the zero-retirement AdvanceTo path).
+            // advance moves the plane's clock, so the aging pass runs
+            // before any slow-path park decision.
             retired += self.advance(self.now) as u32;
             self.shed_aged();
             self.admit_concurrent(fallbacks);
@@ -1877,10 +1858,9 @@ impl Coordinator {
 
     /// CoDel-style pass over the wait queue: shed every parked request
     /// whose sojourn exceeded the overload plane's target for a full
-    /// interval. Runs at the head of every parked retry and after every
-    /// zero-retirement clock advance, so recovery (which re-runs the
-    /// retry pass at startup) sheds at exactly the instants the live
-    /// run did. No-op without the plane.
+    /// interval. Runs after each batch's submissions, at the head of
+    /// every parked retry and after every zero-retirement clock advance.
+    /// No-op without the plane.
     fn shed_aged(&mut self) {
         if self.plane.is_none() {
             return;
@@ -2161,10 +2141,10 @@ impl Coordinator {
     /// Run one consolidation sweep if the virtual clock has crossed
     /// into a new epoch. The sweep plans over the fleet mirror (exact
     /// by construction), journals the full move list *before* touching
-    /// any shard — the frame, not the re-planned sweep, is the replay
-    /// authority — then executes each move as a drain/inject pair
-    /// through the shard mailboxes, charging the moved VM its pre-copy
-    /// stall by pushing its finish instant out.
+    /// any shard — so recovery checks its re-planned sweep against the
+    /// frame before a move executes — then executes each move as a
+    /// drain/inject pair through the shard mailboxes, charging the
+    /// moved VM its pre-copy stall by pushing its finish instant out.
     fn maybe_consolidate(&mut self) {
         let Some(cfg) = self.config.consolidation.clone() else {
             return;
@@ -2303,11 +2283,9 @@ impl Coordinator {
             }
         }
         let snapshot = SnapshotRec {
-            // seq / wal_frames / cache_generation are stamped by the
-            // journal at write time.
+            // seq / wal_frames are stamped by the journal at write time.
             seq: 0,
             wal_frames: 0,
-            cache_generation: 0,
             now: self.now.0,
             next_ticket: self.ticket_watermark,
             shards,
@@ -2322,24 +2300,12 @@ impl Coordinator {
                     )
                 })
                 .collect(),
-            counters: {
-                // Nonzero hysteresis cooldowns ride along as reserved
-                // counter names; recovery strips them back out before
-                // seeding the real counters.
-                let mut values = self.counters.values();
-                for (host, c) in self.hysteresis.cooldowns().iter().enumerate() {
-                    if *c > 0 {
-                        values.push((format!("consolidation_cooldown_{host}"), u64::from(*c)));
-                    }
-                }
-                // Overload-plane scalars ride along the same way; the
-                // plane itself is *re-derived* from the WAL tail, this
-                // merely seeds the snapshot baseline.
-                if let Some(plane) = self.plane.as_ref() {
-                    plane.save(&mut values);
-                }
-                values
-            },
+            counters: self.counters.values(),
+            cooldowns: self.hysteresis.cooldowns().to_vec(),
+            overload: self
+                .plane
+                .as_ref()
+                .map(|plane| overload_to_rec(&plane.snapshot())),
         };
         if let Some(journal) = self.journal.as_mut() {
             if let Err(err) = journal.write_checkpoint(snapshot) {
@@ -2361,12 +2327,11 @@ impl Coordinator {
 
     fn advance(&mut self, t: Seconds) -> usize {
         self.now = self.now.max(t);
-        // Clock advances are journaled so recovery retires resident VMs
-        // at exactly the instants the live run did. A failed append is
-        // tolerable here — retirement is monotone with virtual time, so
-        // replaying without this frame can only retire the same VMs a
-        // little later — and the degraded flag it sets sheds everything
-        // that could have observed the difference.
+        // Clock advances are journaled (and so checked in recovery),
+        // and their durable record moves the plane's clock. A failed
+        // append is tolerable here: the degraded flag it sets ends the
+        // journal, and sheds everything that could have observed the
+        // difference.
         if self.journal_append(&WalRecord::Clock { t: t.0 }) {
             if let Some(plane) = self.plane.as_mut() {
                 plane.on_clock(t.0);
@@ -2817,6 +2782,63 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    /// Recovery re-runs the coordinator on the journal, so anything
+    /// steering decisions that the journal does not record is refused
+    /// up front, on both the fresh-start and the recovery path.
+    fn refused_with_a_journal(name: &str, config: impl Fn(ServiceConfig) -> ServiceConfig) {
+        let dir = tmp(name);
+        // A torn WAL that a scrub would truncate: a refused recovery
+        // must leave it as it found it.
+        let wal = eavm_durability::wal_path(&dir);
+        let (mut log, _) = eavm_durability::Wal::open(&wal).unwrap();
+        log.append(&WalRecord::Drain.encode()).unwrap();
+        log.sync().unwrap();
+        drop(log);
+        let mut torn = std::fs::read(&wal).unwrap();
+        torn.extend_from_slice(b"torn");
+        std::fs::write(&wal, &torn).unwrap();
+        let journaled = || {
+            config(
+                ServiceConfig::new(2, 4)
+                    .with_durability(DurabilityConfig::new(&dir).with_scrub_on_recover()),
+            )
+        };
+        for result in [
+            AllocService::start(db(), journaled()).map(|_| ()),
+            AllocService::recover(db(), journaled()).map(|_| ()),
+        ] {
+            match result {
+                Err(EavmError::InvalidConfig(msg)) => {
+                    assert!(msg.contains("could never replay exactly"), "{msg}")
+                }
+                Err(other) => panic!("wrong error: {other}"),
+                Ok(()) => panic!("{name}: a journal was accepted"),
+            }
+        }
+        assert_eq!(
+            std::fs::read(&wal).unwrap(),
+            torn,
+            "{name}: refused recovery scrubbed"
+        );
+        // Without a journal the same faults are fine.
+        let service = AllocService::start(db(), config(ServiceConfig::new(2, 4))).expect("start");
+        service.shutdown().expect("shutdown");
+    }
+
+    #[test]
+    fn journal_refuses_injected_worker_kills() {
+        refused_with_a_journal("kills", |c| {
+            c.with_worker_faults(WorkerFaultPlan::kill_shard(2, 0, 5))
+        });
+    }
+
+    #[test]
+    fn journal_refuses_injected_lookup_faults() {
+        refused_with_a_journal("lookups", |c| {
+            c.with_lookup_faults(LookupFaults::new(7, 0.5))
+        });
     }
 
     #[test]

@@ -588,8 +588,9 @@ impl ShardCore {
     /// `server` and return its estimated finish instant. `None` when
     /// the server is unknown or hosts no VM of that type — the
     /// coordinator skips the move then, leaving its mirror untouched.
-    /// "First in `resident` order" is what makes live drains and WAL
-    /// replays pick the *same* VM (resident vectors rebuild bit-exact).
+    /// "First in `resident` order" is what makes a live drain and its
+    /// re-execution in recovery pick the *same* VM (resident vectors
+    /// load bit-exact from checkpoints).
     pub(crate) fn drain_vm(&mut self, server: ServerId, ty: WorkloadType) -> Option<Seconds> {
         let srv = self.server_mut(server)?;
         let pos = srv.resident.iter().position(|vm| vm.ty == ty)?;
@@ -625,28 +626,6 @@ impl ShardCore {
             .iter()
             .flat_map(|s| s.resident.iter().map(|vm| vm.finish))
             .reduce(Seconds::min)
-    }
-
-    /// Re-apply a committed admission decision read back from the WAL,
-    /// without re-running any search. Mirrors the two-phase commit
-    /// exactly: fold every add first (the reserve), then materialize
-    /// each placement with finish times from the post-fold mix and
-    /// account its energy against the pre-add mix. Partition proposals
-    /// place each server at most once, so this is also bit-identical to
-    /// the fast path's incremental fold.
-    pub(crate) fn apply_committed(&mut self, placements: &[Placement]) {
-        for p in placements {
-            if let Some(srv) = self.server_mut(p.server) {
-                srv.mix += p.add;
-            }
-        }
-        for p in placements {
-            let new_mix = self.server_mut(p.server).map(|s| s.mix).unwrap_or_default();
-            if let Some(old) = new_mix.checked_sub(&p.add) {
-                self.estimated_energy += self.energy_delta(old, p.add);
-            }
-            let _ = self.materialize(p);
-        }
     }
 
     /// Serialize this shard's placement state for a durability
@@ -1077,10 +1056,9 @@ mod tests {
     }
 
     #[test]
-    fn dump_round_trips_bit_exact_and_apply_committed_matches_try_local() {
+    fn dump_round_trips_bit_exact() {
         let mut live = core(2);
-        let placements = live
-            .try_local(&request(1, WorkloadType::Cpu, 3))
+        live.try_local(&request(1, WorkloadType::Cpu, 3))
             .expect("feasible");
         live.try_local(&request(2, WorkloadType::Io, 2))
             .expect("feasible");
@@ -1098,16 +1076,6 @@ mod tests {
             twin.next_finish().unwrap().0.to_bits(),
             live.next_finish().unwrap().0.to_bits()
         );
-
-        // Replaying the first request's journaled placements onto a
-        // fresh core reproduces the live core's post-commit state.
-        let mut replayed = core(2);
-        replayed.apply_committed(&placements);
-        let mut reference = core(2);
-        reference
-            .try_local(&request(1, WorkloadType::Cpu, 3))
-            .expect("feasible");
-        assert_eq!(replayed.dump(), reference.dump());
     }
 
     #[test]

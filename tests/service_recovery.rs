@@ -12,14 +12,17 @@
 //! without perturbing a single allocation decision).
 
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
-use eavm::durability::{read_frames, recover_dir, wal_path, Wal, WalRecord};
+use eavm::durability::{read_frames, recover_dir, wal_path, PlacementRec, Wal, WalRecord};
 use eavm::faults::WorkerFaultPlan;
 use eavm::migrate::ConsolidationConfig;
 use eavm::prelude::*;
 use eavm::service::{
-    drive_paced, replay_online_paced, verdict_line, AllocService, DurabilityConfig, ServiceConfig,
+    drive_paced, replay_online, replay_online_paced, verdict_line, AllocService, DurabilityConfig,
+    ServiceConfig,
 };
+use eavm::telemetry::Telemetry;
 use proptest::prelude::*;
 
 fn tmp(name: &str) -> PathBuf {
@@ -457,4 +460,400 @@ fn parked_requests_and_counters_survive_recovery() {
         11,
         "every submission must resolve to an admission: {stats:?}"
     );
+}
+
+/// Every `.snap` checkpoint file in a journal directory.
+fn snapshot_files(dir: &Path) -> Vec<PathBuf> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .filter_map(|e| {
+            let path = e.unwrap().path();
+            (path.extension().is_some_and(|x| x == "snap")).then_some(path)
+        })
+        .collect()
+}
+
+/// Replace a journal directory's WAL with `payloads`, frame by frame.
+fn write_wal(dir: &Path, payloads: &[Vec<u8>]) {
+    let _ = std::fs::remove_file(wal_path(dir));
+    let (mut wal, _) = Wal::open(&wal_path(dir)).expect("wal");
+    for payload in payloads {
+        wal.append(payload).expect("append");
+    }
+    wal.sync().expect("sync");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Recovery re-runs the coordinator on its journaled inputs, so it
+    /// needs the coordinator to be a deterministic function of them at
+    /// any shard count, batch shape and plane mix. An *unpaced* run
+    /// forms batches of whatever sat in the mailbox; with its
+    /// snapshots deleted, recovery from genesis must re-execute and
+    /// verify every WAL frame, diverge nowhere, and leave nothing
+    /// unwritten. Recovering from the older of the two kept snapshots
+    /// must do the same over its tail (the checkpointed state is
+    /// complete).
+    #[test]
+    fn unpaced_journals_recover_from_genesis_without_divergence(
+        shards in 1usize..=4,
+        consolidate in proptest::bool::ANY,
+        overload in proptest::bool::ANY,
+        seed in 0u64..1 << 32,
+        trace in proptest::collection::vec((0u32..90, 0usize..3, 1u32..7, 0usize..3), 10..50),
+    ) {
+        let db = DbBuilder::exact().build().expect("db");
+        let mut submit = 0.0;
+        let requests: Vec<VmRequest> = trace
+            .iter()
+            .enumerate()
+            .map(|(i, &(gap, ty, vms, class))| {
+                submit += f64::from(gap);
+                VmRequest {
+                    id: JobId::new(i as u32),
+                    submit: Seconds(submit),
+                    workload: WorkloadType::ALL[ty],
+                    vm_count: vms,
+                    deadline: Seconds(3000.0),
+                    priority: Priority::from_index(class),
+                }
+            })
+            .collect();
+        let dir = tmp(&format!("genesis-{shards}-{consolidate}-{overload}-{seed}"));
+        let cfg = || {
+            let mut cfg = ServiceConfig::new(shards, 8).with_durability(
+                DurabilityConfig::new(dir.clone()).with_checkpoint_every(8),
+            );
+            cfg.queue_capacity = 6;
+            if consolidate {
+                cfg = cfg.with_consolidation(ConsolidationConfig {
+                    interval: Seconds(100.0),
+                    drain_threshold: 2,
+                    hysteresis_sweeps: 1,
+                    ..ConsolidationConfig::default()
+                });
+            }
+            if overload {
+                cfg = cfg.with_overload(
+                    OverloadConfig {
+                        queue_target: 60.0,
+                        queue_interval: 60.0,
+                        breaker_threshold: 3,
+                        breaker_cooldown: 200.0,
+                        ..OverloadConfig::default()
+                    }
+                    .with_breaker_stream(seed, 0.3),
+                );
+            }
+            cfg
+        };
+        let live = replay_online(&db, cfg(), &requests).expect("unpaced run");
+        let mut live_lines: Vec<(u64, String)> = live
+            .verdicts
+            .iter()
+            .map(|(ticket, verdict)| (*ticket, verdict_line(*ticket, verdict)))
+            .collect();
+        live_lines.sort_by_key(|(ticket, _)| *ticket);
+        let (payloads, _) = read_frames(&wal_path(&dir)).expect("wal");
+        let mut snapshots = snapshot_files(&dir);
+        snapshots.sort();
+        let saved: Vec<(PathBuf, Vec<u8>)> = snapshots
+            .iter()
+            .map(|snap| (snap.clone(), std::fs::read(snap).unwrap()))
+            .collect();
+        for snap in &snapshots {
+            std::fs::remove_file(snap).unwrap();
+        }
+        // Genesis first, then the older snapshot alone.
+        let older = saved.len().checked_sub(2).map(|i| &saved[i]);
+        for snapshot in [None, older] {
+            if let Some((path, bytes)) = snapshot {
+                std::fs::write(path, bytes).unwrap();
+            }
+            let (service, report) = AllocService::recover(db.clone(), cfg())
+                .map_err(|e| TestCaseError(format!("recovery failed: {e}")))?;
+            service.shutdown().expect("shutdown");
+            if snapshot.is_none() {
+                prop_assert_eq!(report.snapshots_loaded, 0);
+                prop_assert_eq!(report.frames_replayed, payloads.len() as u64);
+            }
+            let mut lines = report.verdicts;
+            lines.sort_by_key(|(ticket, _)| *ticket);
+            prop_assert_eq!(&lines, &live_lines);
+            let (after, _) = read_frames(&wal_path(&dir)).expect("wal");
+            prop_assert_eq!(&after, &payloads, "recovery appended to a finished journal");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Unpaced parity at every truncation point: the control forms its
+/// batches from whatever the submitter had queued, so no re-drive can
+/// reproduce its tail — but the round a crash cut short must still be
+/// finished exactly as the control finished it. At each cut, recovery
+/// succeeds, and the recovered WAL matches the control's frame for
+/// frame through the end of the cut round. (A cut inside a run of
+/// `Submit` frames leaves a smaller batch, which is a different round:
+/// only the frames before the cut are compared then.)
+#[test]
+fn unpaced_recovery_finishes_the_cut_round_at_every_wal_truncation_point() {
+    let db = DbBuilder::exact().build().expect("db");
+    let requests = workload();
+    let ctrl = tmp("unpaced-ctrl");
+    replay_online(&db, config(&ctrl), &requests).expect("control run");
+    let (payloads, torn) = read_frames(&wal_path(&ctrl)).expect("control wal");
+    assert_eq!(torn, 0);
+    let records: Vec<WalRecord> = payloads
+        .iter()
+        .map(|p| WalRecord::decode(p).expect("decode"))
+        .collect();
+    let is_submit = |i: usize| matches!(records[i], WalRecord::Submit { .. });
+    let round_starts =
+        |j: usize| records[j].is_input() && !(j > 0 && is_submit(j) && is_submit(j - 1));
+    let snapshots = snapshot_files(&ctrl);
+
+    for k in 0..=payloads.len() {
+        let end = if k == 0 || (k < payloads.len() && is_submit(k - 1) && is_submit(k)) {
+            k
+        } else {
+            (k..payloads.len())
+                .find(|&j| round_starts(j))
+                .unwrap_or(payloads.len())
+        };
+        let dir = tmp(&format!("unpaced-cut{k}"));
+        for snap in &snapshots {
+            std::fs::copy(snap, dir.join(snap.file_name().unwrap())).unwrap();
+        }
+        write_wal(&dir, &payloads[..k]);
+
+        let (service, _) = AllocService::recover(db.clone(), config(&dir))
+            .unwrap_or_else(|e| panic!("recovery failed after crash at WAL frame {k}: {e}"));
+        service.shutdown().expect("shutdown");
+        let (recovered, _) = read_frames(&wal_path(&dir)).expect("recovered wal");
+        assert!(
+            recovered.len() >= end,
+            "cut at {k}: the cut round (through frame {end}) was left unfinished"
+        );
+        assert_eq!(
+            recovered[..end],
+            payloads[..end],
+            "cut at {k}: the recovered round diverged from the control's"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    let _ = std::fs::remove_dir_all(&ctrl);
+}
+
+/// A journal that re-execution does not reproduce fails recovery loudly,
+/// naming the frame — it never recovers into a different fleet.
+#[test]
+fn a_tampered_admission_fails_recovery_naming_its_frame() {
+    let db = DbBuilder::exact().build().expect("db");
+    let dir = tmp("tampered");
+    replay_online_paced(&db, config(&dir), &workload()).expect("control run");
+    let (mut payloads, _) = read_frames(&wal_path(&dir)).expect("wal");
+    // Move the first local admission's VMs onto another server; the
+    // frame is re-encoded, so its CRC is valid.
+    let (index, tampered) = payloads
+        .iter()
+        .enumerate()
+        .find_map(|(i, p)| match WalRecord::decode(p) {
+            Ok(WalRecord::Admitted {
+                ticket,
+                shard,
+                placements,
+            }) => Some((
+                i,
+                WalRecord::Admitted {
+                    ticket,
+                    shard,
+                    placements: placements
+                        .iter()
+                        .map(|p| PlacementRec {
+                            server: (p.server + 1) % 4,
+                            ..*p
+                        })
+                        .collect(),
+                },
+            )),
+            _ => None,
+        })
+        .expect("an admission frame");
+    payloads[index] = tampered.encode();
+    write_wal(&dir, &payloads);
+    for snap in snapshot_files(&dir) {
+        std::fs::remove_file(snap).unwrap();
+    }
+    let telemetry = Telemetry::new();
+    let err = match AllocService::recover(db, config(&dir).with_telemetry(Arc::clone(&telemetry))) {
+        Ok(_) => panic!("recovery accepted a tampered journal"),
+        Err(err) => err.to_string(),
+    };
+    assert!(
+        err.contains(&format!("WAL frame {index}:")),
+        "error does not name frame {index}: {err}"
+    );
+    // A divergence is not a disk failure: nothing degrades on the way.
+    let metrics = telemetry.snapshot();
+    assert_eq!(metrics.counter("service.durability.degraded_entries"), 0);
+    assert_eq!(metrics.counter("service.shed.storage_degraded"), 0);
+    let events = telemetry.journal().events();
+    assert!(
+        events.iter().all(|e| !e.message.contains("degraded")),
+        "{events:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every checkpoint is complete: a paced run with hysteresis cooldowns
+/// and an armed overload plane, whose snapshots are collected as the
+/// journal writes them, must recover from *each* one alone — the
+/// re-executed tail reproducing every later WAL frame — and end with
+/// the control's plane state and consolidation totals.
+#[test]
+fn every_checkpoint_resumes_the_journal_it_was_cut_from() {
+    let db = DbBuilder::exact().build().expect("db");
+    let dir = tmp("every-ckpt");
+    let kept = tmp("every-ckpt-snaps");
+    let cfg = || {
+        let mut cfg = ServiceConfig::new(2, 8)
+            .with_durability(DurabilityConfig::new(dir.clone()).with_checkpoint_every(3))
+            .with_consolidation(ConsolidationConfig {
+                interval: Seconds(60.0),
+                drain_threshold: 2,
+                hysteresis_sweeps: 2,
+                ..ConsolidationConfig::default()
+            })
+            .with_overload(
+                OverloadConfig {
+                    queue_target: 60.0,
+                    queue_interval: 60.0,
+                    breaker_threshold: 2,
+                    breaker_cooldown: 150.0,
+                    ..OverloadConfig::default()
+                }
+                .with_breaker_stream(11, 0.4),
+            );
+        cfg.queue_capacity = 4;
+        cfg.deadlines = [Seconds(1e7), Seconds(1e7), Seconds(1e7)];
+        cfg
+    };
+    let mut state = 7u64;
+    let requests: Vec<VmRequest> = (0..40u32)
+        .map(|i| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let draw = (state >> 33) as u32;
+            VmRequest {
+                id: JobId::new(i),
+                submit: Seconds(f64::from(i) * 45.0),
+                workload: WorkloadType::ALL[(draw % 3) as usize],
+                vm_count: 1 + draw / 3 % 2,
+                deadline: Seconds(if i % 5 == 0 { 10.0 } else { 1e7 }),
+                priority: Priority::from_index((draw / 12) as usize),
+            }
+        })
+        .collect();
+
+    let service = AllocService::start(db.clone(), cfg()).expect("start");
+    for request in &requests {
+        service.submit(request.clone());
+        service.stats().expect("stats");
+        for snap in snapshot_files(&dir) {
+            std::fs::copy(&snap, kept.join(snap.file_name().unwrap())).unwrap();
+        }
+    }
+    service.drain().expect("drain");
+    let control = service.shutdown().expect("shutdown");
+    assert!(
+        control.consolidation_migrations >= 1,
+        "no VM migrated: {control:?}"
+    );
+    let (payloads, _) = read_frames(&wal_path(&dir)).expect("wal");
+    let lines = journal_lines(&dir);
+    let checkpoints = snapshot_files(&kept);
+    assert!(
+        checkpoints.len() >= 5,
+        "only {} checkpoints",
+        checkpoints.len()
+    );
+
+    for snap in &checkpoints {
+        for old in snapshot_files(&dir) {
+            std::fs::remove_file(old).unwrap();
+        }
+        std::fs::copy(snap, dir.join(snap.file_name().unwrap())).unwrap();
+        write_wal(&dir, &payloads);
+        let (service, report) = AllocService::recover(db.clone(), cfg())
+            .unwrap_or_else(|e| panic!("recovery from {} failed: {e}", snap.display()));
+        let stats = service.shutdown().expect("shutdown");
+        assert_eq!(
+            report.snapshots_loaded,
+            1,
+            "{} was not loaded",
+            snap.display()
+        );
+        assert_eq!(journal_lines(&dir), lines);
+        assert_eq!(stats.overload, control.overload, "from {}", snap.display());
+        assert_eq!(
+            (stats.consolidation_sweeps, stats.consolidation_migrations),
+            (
+                control.consolidation_sweeps,
+                control.consolidation_migrations
+            ),
+            "from {}",
+            snap.display()
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&kept);
+}
+
+/// The plane's clock is checkpointed state. After a clock advance is
+/// checkpointed, a submission stamped earlier than that clock starts
+/// the WAL tail; the recovered plane must judge it against the restored
+/// clock, not the submission's own time, and end where the control did.
+#[test]
+fn a_tail_starting_before_the_checkpointed_clock_keeps_the_plane_clock() {
+    let db = DbBuilder::exact().build().expect("db");
+    let dir = tmp("plane-clock");
+    let kept = tmp("plane-clock-snaps");
+    let cfg = || {
+        let mut cfg = ServiceConfig::new(2, 4)
+            .with_durability(DurabilityConfig::new(dir.clone()).with_checkpoint_every(1))
+            .with_overload(OverloadConfig::default());
+        cfg.deadlines = [Seconds(1e7), Seconds(1e7), Seconds(1e7)];
+        cfg
+    };
+    let service = AllocService::start(db.clone(), cfg()).expect("start");
+    service.submit(request(0, 0.0, WorkloadType::Cpu, 1));
+    service.advance_to(Seconds(1000.0)).expect("advance");
+    service.stats().expect("stats");
+    for snap in snapshot_files(&dir) {
+        std::fs::copy(&snap, kept.join(snap.file_name().unwrap())).unwrap();
+    }
+    let mut late = request(1, 0.0, WorkloadType::Io, 1);
+    late.deadline = Seconds(10.0);
+    service.submit(late);
+    service.stats().expect("stats");
+    let control = service.shutdown().expect("shutdown");
+    let plane = control.overload.clone().expect("overload armed");
+    assert_eq!(plane.now, 1000.0, "{plane:?}");
+
+    // Keep only the checkpoints written before the late submission.
+    for snap in snapshot_files(&dir) {
+        std::fs::remove_file(snap).unwrap();
+    }
+    for snap in snapshot_files(&kept) {
+        std::fs::copy(&snap, dir.join(snap.file_name().unwrap())).unwrap();
+    }
+    let (service, report) = AllocService::recover(db, cfg()).expect("recover");
+    let stats = service.shutdown().expect("shutdown");
+    assert_eq!(report.snapshots_loaded, 1);
+    assert!(report.frames_replayed >= 2, "{}", report.summary());
+    assert_eq!(stats.overload, control.overload);
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&kept);
 }

@@ -58,10 +58,11 @@ fn build_journal(tag: &str) -> (PathBuf, Vec<(u64, String)>) {
                 wal_frames: frames,
                 now: ticket as f64,
                 next_ticket: ticket + 1,
-                cache_generation: ticket,
                 shards: vec![],
                 parked: vec![],
                 counters: vec![],
+                cooldowns: vec![],
+                overload: None,
             };
             write_snapshot(&dir, ticket, &snap.encode()).unwrap();
         }

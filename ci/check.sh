@@ -29,6 +29,20 @@ echo "==> cargo test perfbench"
 # testing it here makes a public-API change that breaks it fail CI.
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
+echo "==> perfbench correctness gate (paper + light)"
+# A one-second run of each workload. perfbench checks every output it
+# times (each matrix cell places every VM and repeats its outcome on
+# every visit, PA-0.5 beats FF, replays conserve verdicts, recovery
+# matches) and exits 1 when any check fails. Building it here also
+# fails CI when the benchmark stops compiling against the crates.
+# About 16 s per workload on 2 vCPUs.
+for wl in paper light; do
+    PB_OUT="$(cargo run --release -q --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$wl" --seed 59118 --seconds 1 --trace 0)" \
+        || { echo "perfbench: $wl correctness gate failed"; \
+             echo "$PB_OUT" | tail -1; exit 1; }
+done
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 

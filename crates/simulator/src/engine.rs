@@ -16,6 +16,7 @@ use eavm_faults::{FaultKind, FaultPlan};
 use eavm_swf::VmRequest;
 use eavm_telemetry::{Severity, Telemetry};
 use eavm_types::{EavmError, Joules, MixVector, Seconds, ServerId, Watts, WorkloadType};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use eavm_migrate::{plan_moves, HostLoad, Hysteresis, MigrationTally};
@@ -163,11 +164,14 @@ impl FaultState {
         }
     }
 
+    /// Whether some host is down or degraded, hence cordoned.
+    fn any_cordoned(&self) -> bool {
+        self.down_until.iter().any(Option::is_some) || self.degraded.iter().any(Option::is_some)
+    }
+
     /// Whether any window is still open or any plan event still pending.
     fn anything_pending(&self, events: usize) -> bool {
-        self.cursor < events
-            || self.down_until.iter().any(Option::is_some)
-            || self.degraded.iter().any(Option::is_some)
+        self.cursor < events || self.any_cordoned()
     }
 }
 
@@ -182,28 +186,138 @@ struct FaultTallies {
     restart_energy: Joules,
 }
 
+/// What the ground truth says about one mix on one platform: the power
+/// draw and the projected execution time of each resident type.
+#[derive(Debug, Clone, Copy)]
+struct Ground {
+    power: Watts,
+    times: [Option<Seconds>; 3],
+}
+
+/// One platform's ground truth, memoized per mix for one run. Mixes
+/// inside the model's `max_mix()` box live in a dense table filled on
+/// first use (index arithmetic, like `DbModel`'s table); the rare mix
+/// outside it goes to an ordered map. Every mix is thus evaluated at
+/// most once per run, which is exact because a ground truth is a
+/// function of the mix (see [`Simulation::model`]).
+#[derive(Debug)]
+struct Truth<'m, M> {
+    model: &'m M,
+    bounds: MixVector,
+    table: Vec<Option<Ground>>,
+    overflow: std::collections::BTreeMap<MixVector, Ground>,
+}
+
+impl<'m, M: AllocationModel> Truth<'m, M> {
+    /// Largest box tabulated; a model with larger bounds memoizes every
+    /// mix in the ordered map instead.
+    const MAX_TABLE_LEN: usize = 1 << 16;
+
+    fn new(model: &'m M) -> Self {
+        let bounds = model.max_mix();
+        let len = [bounds.cpu, bounds.mem, bounds.io]
+            .iter()
+            .try_fold(1usize, |n, &b| n.checked_mul(b as usize + 1))
+            .filter(|&len| len <= Self::MAX_TABLE_LEN)
+            .unwrap_or(0);
+        Truth {
+            model,
+            bounds,
+            table: vec![None; len],
+            overflow: std::collections::BTreeMap::new(),
+        }
+    }
+
+    /// The ground truth of `mix`, evaluated on first request.
+    fn get(&mut self, mix: MixVector) -> Result<Ground, EavmError> {
+        let b = self.bounds;
+        let slot = (!self.table.is_empty() && mix.fits_within(&b)).then(|| {
+            (mix.cpu as usize * (b.mem as usize + 1) + mix.mem as usize) * (b.io as usize + 1)
+                + mix.io as usize
+        });
+        let cached = match slot {
+            Some(i) => self.table[i],
+            None => self.overflow.get(&mix).copied(),
+        };
+        if let Some(ground) = cached {
+            return Ok(ground);
+        }
+        let ground = Ground {
+            power: self.model.power(mix)?,
+            times: if mix.is_empty() {
+                [None; 3]
+            } else {
+                self.model.estimate_mix(mix)?.per_type_time
+            },
+        };
+        match slot {
+            Some(i) => self.table[i] = Some(ground),
+            None => {
+                self.overflow.insert(mix, ground);
+            }
+        }
+        Ok(ground)
+    }
+}
+
+/// Per-server engine state. The server's mix lives in its
+/// [`ServerView`] (see [`Fleet`]).
 #[derive(Debug, Clone)]
 struct Srv {
-    mix: MixVector,
     vms: Vec<usize>,
-    /// Cached projected execution time per resident type (refreshed on
-    /// every mix change).
-    times: [Option<Seconds>; 3],
-    /// Cached power draw under the current mix.
-    power: Watts,
-    /// Hardware platform index.
-    platform: u32,
+    /// Ground truth of the current mix (refreshed on every mix change).
+    ground: Ground,
+    /// Minimum over residents of `t_ty * (remaining / rate)`: the time
+    /// to this server's next completion (infinite when empty).
+    next_finish: Seconds,
+    /// Some resident reached `remaining <= EPS` in the last accrual.
+    finished: bool,
+    /// Residents, mix or rate changed since `next_finish` was computed.
+    dirty: bool,
 }
 
 impl Srv {
-    fn refresh<M: AllocationModel>(&mut self, model: &M) -> Result<(), EavmError> {
-        self.power = model.power(self.mix)?;
-        if self.mix.is_empty() {
-            self.times = [None; 3];
-        } else {
-            let est = model.estimate_mix(self.mix)?;
-            self.times = est.per_type_time;
-        }
+    /// Time to the next completion among the residents at progress
+    /// rate `rate` (infinite when empty), in the same arithmetic as the
+    /// accrual pass.
+    fn project(&self, vms: &[Vm], rate: f64) -> Seconds {
+        self.vms
+            .iter()
+            .map(|&vid| {
+                let vm = &vms[vid];
+                let t_ty = self.ground.times[vm.ty.index()]
+                    .expect("resident type must have a cached time");
+                t_ty * (vm.remaining / rate)
+            })
+            .fold(Seconds(f64::INFINITY), Seconds::min)
+    }
+}
+
+/// The simulated servers, kept current incrementally: the strategy
+/// views are built once per run and every mix change goes through
+/// [`Fleet::set_mix`], which updates the view, the ground truth, the
+/// busy count and the server's dirty mark together.
+#[derive(Debug)]
+struct Fleet<'m, M> {
+    /// One view per server in id order; `views[i].mix` is server `i`'s
+    /// mix (the only copy).
+    views: Vec<ServerView>,
+    servers: Vec<Srv>,
+    /// Ground truth per platform index.
+    truths: Vec<Truth<'m, M>>,
+    /// Servers hosting at least one VM.
+    busy: usize,
+}
+
+impl<M: AllocationModel> Fleet<'_, M> {
+    /// Set server `si`'s mix and everything derived from it.
+    fn set_mix(&mut self, si: usize, mix: MixVector) -> Result<(), EavmError> {
+        let view = &mut self.views[si];
+        self.busy = self.busy + usize::from(!mix.is_empty()) - usize::from(!view.mix.is_empty());
+        view.mix = mix;
+        let s = &mut self.servers[si];
+        s.ground = self.truths[view.platform as usize].get(mix)?;
+        s.dirty = true;
         Ok(())
     }
 }
@@ -212,6 +326,12 @@ impl Srv {
 #[derive(Debug, Clone)]
 pub struct Simulation<M> {
     /// Ground-truth allocation model executed by the engine.
+    ///
+    /// It must be a function of the mix: the engine asks it about each
+    /// `(platform, mix)` at most once per run and reuses the answer, so
+    /// a model whose `power` or `estimate_mix` varied between calls on
+    /// the same mix would be read only once. Every ground truth in the
+    /// repository is an `AnalyticModel`, which is pure.
     pub model: M,
     /// Cloud under simulation.
     pub cloud: CloudConfig,
@@ -396,20 +516,39 @@ impl<M: AllocationModel> Simulation<M> {
 
         let platforms = self.platform_layout();
         let n_servers = platforms.len();
-        let mut servers: Vec<Srv> = platforms
-            .iter()
-            .map(|&platform| Srv {
-                mix: MixVector::EMPTY,
-                vms: Vec::new(),
-                times: [None; 3],
-                power: Watts::ZERO,
-                platform,
-            })
+        let mut truths: Vec<Truth<M>> = std::iter::once(&self.model)
+            .chain(self.extra_platforms.iter().map(|(m, _)| m))
+            .map(Truth::new)
             .collect();
-        for s in &mut servers {
-            s.refresh(self.model_of(s.platform))
-                .map_err(SimulationError::Model)?;
-        }
+        let idle: Vec<Ground> = truths
+            .iter_mut()
+            .map(|truth| truth.get(MixVector::EMPTY))
+            .collect::<Result<_, _>>()
+            .map_err(SimulationError::Model)?;
+        let mut fleet = Fleet {
+            views: platforms
+                .iter()
+                .enumerate()
+                .map(|(i, &platform)| ServerView {
+                    id: ServerId::from(i),
+                    mix: MixVector::EMPTY,
+                    platform,
+                    cpu_slots: self.model_of(platform).cpu_slots(),
+                })
+                .collect(),
+            servers: platforms
+                .iter()
+                .map(|&platform| Srv {
+                    vms: Vec::new(),
+                    ground: idle[platform as usize],
+                    next_finish: Seconds(f64::INFINITY),
+                    finished: false,
+                    dirty: false,
+                })
+                .collect(),
+            truths,
+            busy: 0,
+        };
 
         let mut vms: Vec<Vm> = Vec::with_capacity(requests.len() * 2);
         // `queue` holds indices into `pending`, so crash restarts can
@@ -429,11 +568,10 @@ impl<M: AllocationModel> Simulation<M> {
 
         let mut energy = Joules::ZERO;
         let mut idle_energy = Joules::ZERO;
-        let idle_powers: Vec<Watts> = servers
+        let idle_powers: Vec<Watts> = platforms
             .iter()
-            .map(|s| self.model_of(s.platform).power(MixVector::EMPTY))
-            .collect::<Result<_, _>>()
-            .map_err(SimulationError::Model)?;
+            .map(|&platform| idle[platform as usize].power)
+            .collect();
         let mut peak_busy = 0usize;
         let mut total_response = Seconds::ZERO;
         let mut total_wait = Seconds::ZERO;
@@ -464,14 +602,14 @@ impl<M: AllocationModel> Simulation<M> {
         // Close/open Fig.-4 timeline intervals for servers whose mix
         // changed, stamping the change at `now`.
         fn sync_timeline(
-            servers: &[Srv],
+            views: &[ServerView],
             open_mix: &mut [MixVector],
             open_since: &mut [Seconds],
             timeline: &mut Vec<AllocationInterval>,
             now: Seconds,
         ) {
-            for (si, s) in servers.iter().enumerate() {
-                if s.mix != open_mix[si] {
+            for (si, view) in views.iter().enumerate() {
+                if view.mix != open_mix[si] {
                     if !open_mix[si].is_empty() {
                         timeline.push(AllocationInterval {
                             server: ServerId::from(si),
@@ -480,7 +618,7 @@ impl<M: AllocationModel> Simulation<M> {
                             mix: open_mix[si],
                         });
                     }
-                    open_mix[si] = s.mix;
+                    open_mix[si] = view.mix;
                     open_since[si] = now;
                 }
             }
@@ -504,7 +642,7 @@ impl<M: AllocationModel> Simulation<M> {
                     self.apply_fault(
                         event,
                         t,
-                        &mut servers,
+                        &mut fleet,
                         &mut vms,
                         &mut pending,
                         &mut queue,
@@ -552,7 +690,7 @@ impl<M: AllocationModel> Simulation<M> {
                     vm_count: group_vms,
                     deadline: head.deadline,
                 };
-                let server_views: Vec<ServerView> = self.placeable_views(&servers, &fault_state);
+                let server_views = self.placeable(&fleet.views, &fault_state);
                 match strategy.allocate(&view, &server_views) {
                     Ok(placements) => {
                         validate_placements(&view, &server_views, &placements)
@@ -574,7 +712,7 @@ impl<M: AllocationModel> Simulation<M> {
                             &owners,
                             requests,
                             t,
-                            &mut servers,
+                            &mut fleet,
                             &mut vms,
                             &mut active,
                             &mut total_vms,
@@ -615,7 +753,7 @@ impl<M: AllocationModel> Simulation<M> {
                                     &owners,
                                     requests,
                                     t,
-                                    &mut servers,
+                                    &mut fleet,
                                     &mut vms,
                                     &mut active,
                                     &mut total_vms,
@@ -664,8 +802,7 @@ impl<M: AllocationModel> Simulation<M> {
                         vm_count: pending[qidx].vm_count,
                         deadline: req.deadline,
                     };
-                    let server_views: Vec<ServerView> =
-                        self.placeable_views(&servers, &fault_state);
+                    let server_views = self.placeable(&fleet.views, &fault_state);
                     match strategy.allocate(&view, &server_views) {
                         Ok(placements) => {
                             validate_placements(&view, &server_views, &placements)
@@ -680,7 +817,7 @@ impl<M: AllocationModel> Simulation<M> {
                                 &owners,
                                 requests,
                                 t,
-                                &mut servers,
+                                &mut fleet,
                                 &mut vms,
                                 &mut active,
                                 &mut total_vms,
@@ -699,27 +836,55 @@ impl<M: AllocationModel> Simulation<M> {
             // Placements from the drain above happened at the current
             // instant.
             if self.record_timeline {
-                sync_timeline(&servers, &mut open_mix, &mut open_since, &mut timeline, t);
+                sync_timeline(
+                    &fleet.views,
+                    &mut open_mix,
+                    &mut open_since,
+                    &mut timeline,
+                    t,
+                );
             }
 
             // Next event: arrival, completion, fault, or fault recovery.
+            // The next completion is `t` plus the smallest per-server
+            // time to finish. Those minima come from the last accrual
+            // pass; only servers changed since then recompute theirs.
+            // This equals the minimum of `t + x` over every resident
+            // because `x ↦ t + x` is monotone under rounding. Fault
+            // windows change progress rates at any event, so under a
+            // fault plan every server recomputes.
             let t_arrival = requests.get(next_arrival).map(|r| r.submit);
-            let mut t_finish: Option<Seconds> = None;
-            for (si, s) in servers.iter().enumerate() {
-                // A degraded host stretches its residents' projected
-                // finishes by 1/rate; rate is 1.0 on healthy hosts, so
-                // the fault-free projection is bit-identical.
-                let rate = fault_state.rate(si);
-                for &vid in &s.vms {
-                    let vm = &vms[vid];
-                    let t_ty =
-                        s.times[vm.ty.index()].expect("resident type must have a cached time");
-                    let fin = t + t_ty * (vm.remaining / rate);
-                    t_finish = Some(match t_finish {
-                        Some(cur) => cur.min(fin),
-                        None => fin,
-                    });
+            let stale = self.faults.is_some();
+            let mut nearest = Seconds(f64::INFINITY);
+            for (si, s) in fleet.servers.iter_mut().enumerate() {
+                if s.dirty || stale {
+                    s.next_finish = s.project(&vms, fault_state.rate(si));
+                    s.dirty = false;
                 }
+                nearest = nearest.min(s.next_finish);
+            }
+            let t_finish = nearest.value().is_finite().then(|| t + nearest);
+            #[cfg(debug_assertions)]
+            {
+                let vms = &vms;
+                let brute = fleet
+                    .servers
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(si, s)| {
+                        let rate = fault_state.rate(si);
+                        s.vms.iter().map(move |&vid| {
+                            let vm = &vms[vid];
+                            let t_ty = s.ground.times[vm.ty.index()].expect("resident type");
+                            t + t_ty * (vm.remaining / rate)
+                        })
+                    })
+                    .reduce(Seconds::min);
+                assert_eq!(
+                    t_finish.map(|f| f.value().to_bits()),
+                    brute.map(|f| f.value().to_bits()),
+                    "cached next finish diverged from the resident scan at t={t}"
+                );
             }
             // Fault events and window ends matter only while something is
             // running (a crash must interrupt it; a degradation end
@@ -747,24 +912,35 @@ impl<M: AllocationModel> Simulation<M> {
                 None => break, // no arrivals, nothing running, no faults due
             };
 
-            // Advance time: accrue energy and VM progress over [t, t_next].
+            // Advance time: accrue energy and VM progress over [t, t_next],
+            // and in the same pass each server's time to its next finish
+            // and whether a resident is done.
             let dt = t_next - t;
             if dt > Seconds::ZERO {
-                for (si, s) in servers.iter_mut().enumerate() {
-                    if !s.mix.is_empty() {
+                for (si, s) in fleet.servers.iter_mut().enumerate() {
+                    let busy = !fleet.views[si].mix.is_empty();
+                    if busy {
                         busy_server_seconds += dt;
                     }
-                    if !s.mix.is_empty() || self.idle_servers_powered {
-                        energy += s.power * dt;
+                    if busy || self.idle_servers_powered {
+                        energy += s.ground.power * dt;
                         // The static (idle-floor) share of the accrual.
                         idle_energy += idle_powers[si] * dt;
                     }
+                    // A degraded host stretches its residents' projected
+                    // finishes by 1/rate; rate is 1.0 on healthy hosts.
                     let rate = fault_state.rate(si);
+                    let mut next = Seconds(f64::INFINITY);
+                    let mut finished = false;
                     for &vid in &s.vms {
                         let vm = &mut vms[vid];
-                        let t_ty = s.times[vm.ty.index()].expect("resident type");
+                        let t_ty = s.ground.times[vm.ty.index()].expect("resident type");
                         vm.remaining -= (dt / t_ty) * rate;
+                        next = next.min(t_ty * (vm.remaining / rate));
+                        finished |= vm.remaining <= EPS;
                     }
+                    s.next_finish = next;
+                    s.finished = finished;
                 }
                 t = t_next;
             }
@@ -784,15 +960,20 @@ impl<M: AllocationModel> Simulation<M> {
                 }
             }
 
-            // Retire completed VMs and update their servers. Most events
-            // complete nothing on most servers, so a server is only
-            // rewritten (in place, keeping resident order) when one of
-            // its VMs is done.
-            for s in servers.iter_mut() {
-                if !s.vms.iter().any(|&vid| vms[vid].remaining <= EPS) {
+            // Retire completed VMs on the servers the accrual marked,
+            // rewriting each in place (keeping resident order).
+            for si in 0..n_servers {
+                let s = &mut fleet.servers[si];
+                debug_assert_eq!(
+                    s.finished,
+                    s.vms.iter().any(|&vid| vms[vid].remaining <= EPS),
+                    "server {si}'s finished mark diverged from its residents at t={t}"
+                );
+                if !s.finished {
                     continue;
                 }
-                let mut mix = s.mix;
+                s.finished = false;
+                let mut mix = fleet.views[si].mix;
                 s.vms.retain(|&vid| {
                     let vm = &mut vms[vid];
                     let done = vm.remaining <= EPS;
@@ -815,9 +996,7 @@ impl<M: AllocationModel> Simulation<M> {
                         .expect("completed VM must be in its server's mix");
                     false
                 });
-                s.mix = mix;
-                s.refresh(self.model_of(s.platform))
-                    .map_err(SimulationError::Model)?;
+                fleet.set_mix(si, mix).map_err(SimulationError::Model)?;
             }
 
             // Reactive consolidation sweep: drain straggler servers onto
@@ -829,7 +1008,7 @@ impl<M: AllocationModel> Simulation<M> {
                     last_sweep = t;
                     self.consolidation_sweep(
                         cfg,
-                        &mut servers,
+                        &mut fleet,
                         &mut vms,
                         &fault_state,
                         &mut hysteresis,
@@ -843,7 +1022,13 @@ impl<M: AllocationModel> Simulation<M> {
             // Completions, burst fallbacks, and migrations above happened
             // at the advanced instant.
             if self.record_timeline {
-                sync_timeline(&servers, &mut open_mix, &mut open_since, &mut timeline, t);
+                sync_timeline(
+                    &fleet.views,
+                    &mut open_mix,
+                    &mut open_since,
+                    &mut timeline,
+                    t,
+                );
             }
         }
 
@@ -956,21 +1141,26 @@ impl<M: AllocationModel> Simulation<M> {
         })
     }
 
-    /// Strategy views of every host that can receive placements right
+    /// Strategy views of the hosts that can receive placements right
     /// now: downed and degraded hosts are cordoned until their window
-    /// ends. Without faults every host is placeable.
-    fn placeable_views(&self, servers: &[Srv], fault_state: &FaultState) -> Vec<ServerView> {
-        servers
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| fault_state.available(*i))
-            .map(|(i, s)| ServerView {
-                id: ServerId::from(i),
-                mix: s.mix,
-                platform: s.platform,
-                cpu_slots: self.model_of(s.platform).cpu_slots(),
-            })
-            .collect()
+    /// ends. Without a fault plan no host is ever cordoned, so the
+    /// persistent views pass as they are; a filtered copy is built only
+    /// while some host is cordoned.
+    fn placeable<'v>(
+        &self,
+        views: &'v [ServerView],
+        fault_state: &FaultState,
+    ) -> Cow<'v, [ServerView]> {
+        if self.faults.is_none() || !fault_state.any_cordoned() {
+            return Cow::Borrowed(views);
+        }
+        Cow::Owned(
+            views
+                .iter()
+                .filter(|v| fault_state.available(v.id.index()))
+                .copied()
+                .collect(),
+        )
     }
 
     /// Fire one plan event at instant `t`: a crash kills every VM on
@@ -984,7 +1174,7 @@ impl<M: AllocationModel> Simulation<M> {
         &self,
         event: &eavm_faults::FaultEvent,
         t: Seconds,
-        servers: &mut [Srv],
+        fleet: &mut Fleet<M>,
         vms: &mut [Vm],
         pending: &mut Vec<PendingReq>,
         queue: &mut std::collections::VecDeque<usize>,
@@ -1003,9 +1193,9 @@ impl<M: AllocationModel> Simulation<M> {
                 }
                 // Degradation windows on a crashed host are moot.
                 fault_state.degraded[h] = None;
-                let resident = std::mem::take(&mut servers[h].vms);
+                let resident = std::mem::take(&mut fleet.servers[h].vms);
                 if !resident.is_empty() {
-                    let model = self.model_of(servers[h].platform);
+                    let model = self.model_of(fleet.views[h].platform);
                     // Group the killed VMs by owning request (BTreeMap:
                     // deterministic re-enqueue order) and account the
                     // work and energy thrown away.
@@ -1035,8 +1225,7 @@ impl<M: AllocationModel> Simulation<M> {
                         queue.push_back(pending.len() - 1);
                     }
                 }
-                servers[h].mix = MixVector::EMPTY;
-                servers[h].refresh(self.model_of(servers[h].platform))?;
+                fleet.set_mix(h, MixVector::EMPTY)?;
                 self.telemetry.event(
                     t.value(),
                     "simulator",
@@ -1074,7 +1263,7 @@ impl<M: AllocationModel> Simulation<M> {
         owners: &[usize],
         requests: &[VmRequest],
         t: Seconds,
-        servers: &mut [Srv],
+        fleet: &mut Fleet<M>,
         vms: &mut Vec<Vm>,
         active: &mut usize,
         total_vms: &mut usize,
@@ -1098,21 +1287,18 @@ impl<M: AllocationModel> Simulation<M> {
                         remaining: 1.0,
                         migrated: false,
                     });
-                    servers[si].vms.push(vid);
+                    fleet.servers[si].vms.push(vid);
                     *active += 1;
                     *total_vms += 1;
                     *total_wait += t - req.submit;
                     wait_hist.record((t - req.submit).value().max(0.0) as u64);
                 }
             }
-            servers[si].mix += p.add;
-            let platform = servers[si].platform;
-            servers[si]
-                .refresh(self.model_of(platform))
+            fleet
+                .set_mix(si, fleet.views[si].mix + p.add)
                 .map_err(SimulationError::Model)?;
         }
-        let busy = servers.iter().filter(|s| !s.mix.is_empty()).count();
-        *peak_busy = (*peak_busy).max(busy);
+        *peak_busy = (*peak_busy).max(fleet.busy);
         Ok(())
     }
 
@@ -1127,22 +1313,22 @@ impl<M: AllocationModel> Simulation<M> {
     fn consolidation_sweep(
         &self,
         cfg: &MigrationConfig,
-        servers: &mut [Srv],
+        fleet: &mut Fleet<M>,
         vms: &mut [Vm],
         fault_state: &FaultState,
         hysteresis: &mut Hysteresis,
         tally: &mut MigrationTally,
         stall_hist: &eavm_telemetry::Histogram,
     ) -> Result<(), EavmError> {
-        let hosts: Vec<HostLoad> = servers
+        let hosts: Vec<HostLoad> = fleet
+            .views
             .iter()
             .enumerate()
-            .map(|(i, s)| HostLoad {
-                mix: s.mix,
+            .map(|(i, v)| HostLoad {
+                mix: v.mix,
                 available: fault_state.available(i),
             })
             .collect();
-        let platforms: Vec<u32> = servers.iter().map(|s| s.platform).collect();
         let policy = eavm_migrate::ConsolidationConfig {
             interval: cfg.check_interval,
             drain_threshold: cfg.max_donor_vms,
@@ -1154,12 +1340,16 @@ impl<M: AllocationModel> Simulation<M> {
         // Degradation budget guard: nobody on the receiver may be
         // pushed past `max_slowdown x` its solo runtime.
         let plan = plan_moves(&hosts, &policy, hysteresis, |r, new_mix| {
-            let model = self.model_of(platforms[r]);
-            match model.estimate_mix(new_mix) {
-                Ok(est) => WorkloadType::ALL.into_iter().all(|t| match est.time_of(t) {
-                    Some(time) => time <= model.solo_time(t) * cfg.max_slowdown,
-                    None => true,
-                }),
+            let truth = &mut fleet.truths[fleet.views[r].platform as usize];
+            match truth.get(new_mix) {
+                Ok(ground) => {
+                    WorkloadType::ALL
+                        .into_iter()
+                        .all(|t| match ground.times[t.index()] {
+                            Some(time) => time <= truth.model.solo_time(t) * cfg.max_slowdown,
+                            None => true,
+                        })
+                }
                 Err(_) => false,
             }
         });
@@ -1169,26 +1359,26 @@ impl<M: AllocationModel> Simulation<M> {
 
         // Commit: move VMs, charge the pre-copy stall, refresh caches.
         let cost = cfg.model.cost();
+        let mut mixes: Vec<MixVector> = hosts.iter().map(|h| h.mix).collect();
         let mut touched: Vec<usize> = Vec::new();
         for m in &plan.moves {
-            let vid = servers[m.from]
-                .vms
+            let from = &mut fleet.servers[m.from].vms;
+            let vid = from
                 .iter()
                 .copied()
                 .find(|&v| vms[v].ty == m.ty)
                 .ok_or_else(|| {
                     EavmError::Infeasible("planned move references absent resident".into())
                 })?;
-            servers[m.from].vms.retain(|&x| x != vid);
-            servers[m.from].mix = servers[m.from]
-                .mix
+            from.retain(|&x| x != vid);
+            mixes[m.from] = mixes[m.from]
                 .minus(m.ty)
                 .expect("migrating VM must be resident");
-            servers[m.to].vms.push(vid);
-            servers[m.to].mix = servers[m.to].mix.plus(m.ty);
+            fleet.servers[m.to].vms.push(vid);
+            mixes[m.to] = mixes[m.to].plus(m.ty);
             // Lost progress: stop-and-copy downtime plus degraded
             // pre-copy, expressed as a fraction of the solo runtime.
-            let solo = self.model_of(platforms[m.to]).solo_time(m.ty);
+            let solo = self.model_of(fleet.views[m.to].platform).solo_time(m.ty);
             vms[vid].remaining = (vms[vid].remaining + cost.stall / solo).min(1.0);
             vms[vid].migrated = true;
             tally.record(&cost);
@@ -1201,8 +1391,7 @@ impl<M: AllocationModel> Simulation<M> {
         touched.sort_unstable();
         touched.dedup();
         for i in touched {
-            let platform = servers[i].platform;
-            servers[i].refresh(self.model_of(platform))?;
+            fleet.set_mix(i, mixes[i])?;
         }
         Ok(())
     }
@@ -2008,5 +2197,95 @@ mod tests {
         // Packing 12 CPU-heavy VMs per server crosses the thrash cliff:
         // FF-3 must be slower end-to-end.
         assert!(ff3.makespan() > ff.makespan());
+    }
+
+    /// A ground truth that counts how often each mix is evaluated.
+    #[derive(Debug)]
+    struct Counting {
+        inner: AnalyticModel,
+        power: std::cell::RefCell<std::collections::BTreeMap<MixVector, u32>>,
+        estimates: std::cell::RefCell<std::collections::BTreeMap<MixVector, u32>>,
+    }
+
+    impl Counting {
+        fn new(inner: AnalyticModel) -> Self {
+            Counting {
+                inner,
+                power: Default::default(),
+                estimates: Default::default(),
+            }
+        }
+
+        /// Largest evaluation count of any one mix, and how many mixes
+        /// were evaluated.
+        fn most_and_distinct(&self) -> (u32, usize) {
+            let power = self.power.borrow();
+            let estimates = self.estimates.borrow();
+            let most = power.values().chain(estimates.values()).copied().max();
+            (most.unwrap_or(0), power.len())
+        }
+    }
+
+    impl AllocationModel for Counting {
+        fn exec_time(&self, mix: MixVector, ty: WorkloadType) -> Result<Seconds, EavmError> {
+            self.inner.exec_time(mix, ty)
+        }
+        fn power(&self, mix: MixVector) -> Result<Watts, EavmError> {
+            *self.power.borrow_mut().entry(mix).or_default() += 1;
+            self.inner.power(mix)
+        }
+        fn run_energy(&self, mix: MixVector) -> Result<Joules, EavmError> {
+            self.inner.run_energy(mix)
+        }
+        fn solo_time(&self, ty: WorkloadType) -> Seconds {
+            self.inner.solo_time(ty)
+        }
+        fn max_mix(&self) -> MixVector {
+            self.inner.max_mix()
+        }
+        fn cpu_slots(&self) -> u32 {
+            self.inner.cpu_slots()
+        }
+        fn estimate_mix(&self, mix: MixVector) -> Result<eavm_core::MixEstimate, EavmError> {
+            *self.estimates.borrow_mut().entry(mix).or_default() += 1;
+            self.inner.estimate_mix(mix)
+        }
+    }
+
+    #[test]
+    fn ground_truth_is_evaluated_once_per_platform_and_mix() {
+        use eavm_faults::{FaultConfig, FaultPlan};
+        use eavm_testbed::{BenchmarkSuite, ContentionModel, ServerSpec};
+        let big = AnalyticModel::new(
+            ServerSpec::big_node(),
+            ContentionModel::default(),
+            &BenchmarkSuite::standard(),
+            MixVector::new(24, 24, 24),
+        );
+        let reqs: Vec<VmRequest> = (0..30)
+            .map(|i| {
+                let ty = WorkloadType::from_index(i as usize % 3);
+                req(i, (i as f64) * 200.0, ty, 1 + i % 3, 1e9)
+            })
+            .collect();
+        let sim = Simulation::new(Counting::new(model()), cloud(2))
+            .with_platform(Counting::new(big), 1)
+            .with_migration(MigrationConfig {
+                check_interval: Seconds(300.0),
+                hysteresis_sweeps: 0,
+                ..Default::default()
+            })
+            .with_faults(FaultPlan::generate(
+                &FaultConfig::uniform(3, 1.0),
+                3,
+                20_000.0,
+            ));
+        let out = sim.run(&mut FirstFit::with_multiplex(4, 2), &reqs).unwrap();
+        assert!(out.vms > 30 && out.host_crashes > 0 && out.migrations > 0);
+        for truth in [&sim.model, &sim.extra_platforms[0].0] {
+            let (most, distinct) = truth.most_and_distinct();
+            assert!(distinct > 1, "the platform hosted no VM");
+            assert_eq!(most, 1, "a mix was evaluated more than once");
+        }
     }
 }

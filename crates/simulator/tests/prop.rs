@@ -1,11 +1,16 @@
 //! Property-based tests for the discrete-event engine: conservation and
 //! metric consistency under every combination of engine features
 //! (queue policy × burst allocation × migration × power accounting ×
-//! timeline recording).
+//! timeline recording × fault plan × extra platform). Debug builds of
+//! the engine also check, at every event, its cached next-finish minima
+//! and finished marks against a scan of every resident VM, so these
+//! cases exercise that invariant on each feature path.
 
 use eavm_core::{AnalyticModel, FirstFit};
+use eavm_faults::{FaultConfig, FaultPlan};
 use eavm_simulator::{CloudConfig, MigrationConfig, Simulation};
 use eavm_swf::{Priority, VmRequest};
+use eavm_testbed::{BenchmarkSuite, ContentionModel, ServerSpec};
 use eavm_types::{JobId, MixVector, Seconds, WorkloadType};
 use proptest::prelude::*;
 
@@ -41,18 +46,40 @@ proptest! {
     fn engine_invariants_hold_across_feature_matrix(
         requests in arb_requests(),
         servers in 2usize..6,
-        backfill in proptest::option::of(1usize..8),
+        policy in 0usize..3,
+        window in 1usize..8,
         burst in proptest::bool::ANY,
         migrate in proptest::bool::ANY,
         always_on in proptest::bool::ANY,
         timeline in proptest::bool::ANY,
+        fault_seed in proptest::option::of(0u64..1_000),
+        big_node in proptest::bool::ANY,
     ) {
         let mut sim = Simulation::new(
             AnalyticModel::reference(),
             CloudConfig::new("PROP", servers).unwrap(),
         );
-        if let Some(window) = backfill {
-            sim = sim.with_backfill(window);
+        match policy {
+            0 => {}
+            1 => sim = sim.with_backfill(window),
+            _ => sim = sim.with_edf(),
+        }
+        if big_node {
+            sim = sim.with_platform(
+                AnalyticModel::new(
+                    ServerSpec::big_node(),
+                    ContentionModel::default(),
+                    &BenchmarkSuite::standard(),
+                    MixVector::new(24, 24, 24),
+                ),
+                1,
+            );
+        }
+        let hosts = servers + usize::from(big_node);
+        if let Some(seed) = fault_seed {
+            let horizon = requests.last().map_or(0.0, |r| r.submit.value()) + 20_000.0;
+            let plan = FaultPlan::generate(&FaultConfig::uniform(seed, 1.0), hosts, horizon);
+            sim = sim.with_faults(plan);
         }
         if burst {
             sim = sim.with_burst_allocation();
@@ -76,14 +103,28 @@ proptest! {
         let mut strategy = FirstFit::with_multiplex(4, 2);
         let out = sim.run(&mut strategy, &requests).unwrap();
 
+        // Conservation: every trace VM is placed once, plus once more
+        // per crash restart.
         let total: u32 = requests.iter().map(|r| r.vm_count).sum();
-        prop_assert_eq!(out.vms as u32, total, "VMs lost or duplicated");
+        prop_assert_eq!(
+            out.vms,
+            total as usize + out.vms_restarted,
+            "VMs lost or duplicated"
+        );
+        prop_assert_eq!(out.vms_restarted, out.vms_killed);
+        if fault_seed.is_none() {
+            prop_assert_eq!(out.host_crashes + out.host_degradations, 0);
+        }
         prop_assert_eq!(out.requests, requests.len());
         prop_assert!(out.last_completion >= out.first_submit);
-        prop_assert!(out.total_response_time >= out.total_wait_time);
+        if fault_seed.is_none() {
+            // A restarted VM's wait is counted again from its original
+            // submission at each placement, but its response only once.
+            prop_assert!(out.total_response_time >= out.total_wait_time);
+        }
         prop_assert!(out.energy >= out.idle_energy - eavm_types::Joules(1e-6));
-        prop_assert!(out.peak_servers_busy <= servers);
-        prop_assert!(out.mean_servers_busy() <= servers as f64 + 1e-9);
+        prop_assert!(out.peak_servers_busy <= hosts);
+        prop_assert!(out.mean_servers_busy() <= hosts as f64 + 1e-9);
         prop_assert!(out.sla_violations <= out.requests);
         let per_type_total: usize = out.per_type_requests.iter().sum();
         prop_assert_eq!(per_type_total, out.requests);
@@ -104,7 +145,7 @@ proptest! {
                 "timeline covers {covered}, busy integral {}",
                 out.busy_server_seconds
             );
-            for si in 0..servers {
+            for si in 0..hosts {
                 let tl = out.timeline_of(eavm_types::ServerId::from(si));
                 for w in tl.windows(2) {
                     prop_assert!(w[0].end <= w[1].start + Seconds(1e-9));

@@ -97,12 +97,16 @@ struct Vm {
 /// One queue entry: a block of VMs waiting for placement. Arrivals map
 /// a trace request 1:1; a host crash re-enqueues the killed VMs as a
 /// `restart` entry attributed to the same origin request, so restarted
-/// VMs keep the *original* submission instant for wait/SLA accounting
-/// (the restart's SLA impact is real and must show up).
+/// VMs keep the *original* submission instant for response/SLA
+/// accounting (the restart's SLA impact is real and must show up),
+/// while their wait counts from the crash that re-queued them.
 #[derive(Debug, Clone, Copy)]
 struct PendingReq {
     /// Index of the owning request within the input slice.
     origin: usize,
+    /// When the entry joined the queue: the request's submission, or
+    /// the crash that killed its VMs.
+    queued_at: Seconds,
     /// VMs still to place for this entry (a restart may cover only the
     /// subset of the request's VMs that died on the crashed host).
     vm_count: u32,
@@ -696,13 +700,10 @@ impl<M: AllocationModel> Simulation<M> {
                         validate_placements(&view, &server_views, &placements)
                             .map_err(SimulationError::Strategy)?;
                         // Attribute the placed VMs back to the individual
-                        // requests of the group, in queue order.
+                        // queue entries of the group, in queue order.
                         let mut owners: Vec<usize> = Vec::with_capacity(group_vms as usize);
                         for &g in &group {
-                            owners.extend(std::iter::repeat_n(
-                                pending[g].origin,
-                                pending[g].vm_count as usize,
-                            ));
+                            owners.extend(std::iter::repeat_n(g, pending[g].vm_count as usize));
                             if pending[g].restart {
                                 tallies.vms_restarted += pending[g].vm_count as usize;
                             }
@@ -710,6 +711,7 @@ impl<M: AllocationModel> Simulation<M> {
                         self.commit_placements(
                             &placements,
                             &owners,
+                            &pending,
                             requests,
                             t,
                             &mut fleet,
@@ -743,14 +745,14 @@ impl<M: AllocationModel> Simulation<M> {
                             if let Some(placements) = retry {
                                 validate_placements(&single, &server_views, &placements)
                                     .map_err(SimulationError::Strategy)?;
-                                let owners =
-                                    vec![pending[qidx].origin; pending[qidx].vm_count as usize];
+                                let owners = vec![qidx; pending[qidx].vm_count as usize];
                                 if pending[qidx].restart {
                                     tallies.vms_restarted += pending[qidx].vm_count as usize;
                                 }
                                 self.commit_placements(
                                     &placements,
                                     &owners,
+                                    &pending,
                                     requests,
                                     t,
                                     &mut fleet,
@@ -807,14 +809,14 @@ impl<M: AllocationModel> Simulation<M> {
                         Ok(placements) => {
                             validate_placements(&view, &server_views, &placements)
                                 .map_err(SimulationError::Strategy)?;
-                            let owners =
-                                vec![pending[qidx].origin; pending[qidx].vm_count as usize];
+                            let owners = vec![qidx; pending[qidx].vm_count as usize];
                             if pending[qidx].restart {
                                 tallies.vms_restarted += pending[qidx].vm_count as usize;
                             }
                             self.commit_placements(
                                 &placements,
                                 &owners,
+                                &pending,
                                 requests,
                                 t,
                                 &mut fleet,
@@ -950,6 +952,7 @@ impl<M: AllocationModel> Simulation<M> {
                 if r.submit <= t {
                     pending.push(PendingReq {
                         origin: next_arrival,
+                        queued_at: r.submit,
                         vm_count: r.vm_count,
                         restart: false,
                     });
@@ -1219,6 +1222,7 @@ impl<M: AllocationModel> Simulation<M> {
                     for (origin, vm_count) in killed {
                         pending.push(PendingReq {
                             origin,
+                            queued_at: t,
                             vm_count,
                             restart: true,
                         });
@@ -1254,13 +1258,15 @@ impl<M: AllocationModel> Simulation<M> {
     }
 
     /// Materialize validated placements: create the VMs (attributed to
-    /// their owning requests, in order), update server mixes, refresh the
-    /// per-server caches, and track peaks.
+    /// their owning queue entries, in order), update server mixes,
+    /// refresh the per-server caches, and track peaks. Each VM's wait
+    /// runs from its entry's (re)queue instant to `t`.
     #[allow(clippy::too_many_arguments)]
     fn commit_placements(
         &self,
         placements: &[eavm_core::Placement],
         owners: &[usize],
+        pending: &[PendingReq],
         requests: &[VmRequest],
         t: Seconds,
         fleet: &mut Fleet<M>,
@@ -1276,12 +1282,12 @@ impl<M: AllocationModel> Simulation<M> {
             let si = p.server.index();
             for (ty, count) in p.add.iter() {
                 for _ in 0..count {
-                    let owner = owner_iter.next().expect("owner per placed VM");
-                    let req = &requests[owner];
+                    let entry = &pending[owner_iter.next().expect("owner per placed VM")];
+                    let req = &requests[entry.origin];
                     let vid = vms.len();
                     vms.push(Vm {
                         ty,
-                        request: owner,
+                        request: entry.origin,
                         submit: req.submit,
                         deadline: req.deadline,
                         remaining: 1.0,
@@ -1290,8 +1296,9 @@ impl<M: AllocationModel> Simulation<M> {
                     fleet.servers[si].vms.push(vid);
                     *active += 1;
                     *total_vms += 1;
-                    *total_wait += t - req.submit;
-                    wait_hist.record((t - req.submit).value().max(0.0) as u64);
+                    let wait = t - entry.queued_at;
+                    *total_wait += wait;
+                    wait_hist.record(wait.value().max(0.0) as u64);
                 }
             }
             fleet

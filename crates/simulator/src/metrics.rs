@@ -53,9 +53,15 @@ pub struct SimOutcome {
     pub idle_energy: Joules,
     /// Requests whose response time exceeded the deadline.
     pub sla_violations: usize,
-    /// Sum of per-VM response times (completion − submission).
+    /// Sum of per-VM response times over the completed VMs (completion
+    /// − the request's submission). A VM restarted after a host crash
+    /// counts once, from its original submission to its final
+    /// completion.
     pub total_response_time: Seconds,
-    /// Sum of per-VM queueing delays (start − submission).
+    /// Sum of per-placement queueing delays (placement − the instant the
+    /// VM last joined the queue: its submission, or the crash that
+    /// re-queued it). A restarted VM adds both of its waits, so this
+    /// never exceeds `total_response_time` on a drained run.
     pub total_wait_time: Seconds,
     /// Largest number of servers hosting at least one VM at once.
     pub peak_servers_busy: usize,
@@ -112,21 +118,26 @@ impl SimOutcome {
         }
     }
 
-    /// Mean per-VM response time.
+    /// VMs that ran to completion: every placement except the ones a
+    /// host crash killed (each of those was placed again as a restart).
+    pub fn vms_completed(&self) -> usize {
+        self.vms - self.vms_killed
+    }
+
+    /// Mean response time per completed VM.
     pub fn mean_response_time(&self) -> Seconds {
-        if self.vms == 0 {
-            Seconds::ZERO
-        } else {
-            self.total_response_time / self.vms as f64
+        match self.vms_completed() {
+            0 => Seconds::ZERO,
+            n => self.total_response_time / n as f64,
         }
     }
 
-    /// Mean per-VM queueing delay.
+    /// Mean queueing delay per completed VM (a restarted VM's waits
+    /// before and after its crash both count).
     pub fn mean_wait_time(&self) -> Seconds {
-        if self.vms == 0 {
-            Seconds::ZERO
-        } else {
-            self.total_wait_time / self.vms as f64
+        match self.vms_completed() {
+            0 => Seconds::ZERO,
+            n => self.total_wait_time / n as f64,
         }
     }
 
@@ -221,8 +232,8 @@ mod tests {
             energy: Joules(8.0e8),
             idle_energy: Joules(5.0e8),
             sla_violations: 30,
-            total_response_time: Seconds(900_000.0),
-            total_wait_time: Seconds(50_000.0),
+            total_response_time: Seconds(891_000.0),
+            total_wait_time: Seconds(49_500.0),
             peak_servers_busy: 120,
             migrations: 0,
             migrated_mb: 0.0,
@@ -256,7 +267,9 @@ mod tests {
 
     #[test]
     fn mean_times() {
+        // 500 placements, 5 of them killed: 495 completed VMs.
         let o = outcome();
+        assert_eq!(o.vms_completed(), 495);
         assert!((o.mean_response_time().value() - 1_800.0).abs() < 1e-9);
         assert!((o.mean_wait_time().value() - 100.0).abs() < 1e-9);
     }

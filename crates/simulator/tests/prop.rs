@@ -117,11 +117,10 @@ proptest! {
         }
         prop_assert_eq!(out.requests, requests.len());
         prop_assert!(out.last_completion >= out.first_submit);
-        if fault_seed.is_none() {
-            // A restarted VM's wait is counted again from its original
-            // submission at each placement, but its response only once.
-            prop_assert!(out.total_response_time >= out.total_wait_time);
-        }
+        // A restarted VM waits once per (re)queue, and its response spans
+        // both waits, the killed run and the final run.
+        prop_assert!(out.total_response_time >= out.total_wait_time);
+        prop_assert_eq!(out.vms_completed(), total as usize);
         prop_assert!(out.energy >= out.idle_energy - eavm_types::Joules(1e-6));
         prop_assert!(out.peak_servers_busy <= hosts);
         prop_assert!(out.mean_servers_busy() <= hosts as f64 + 1e-9);

@@ -76,21 +76,26 @@ cmp "$LINT_DIR/lint.1.sarif" "$LINT_DIR/lint.2.sarif" \
 mkdir -p target
 cp "$LINT_DIR/lint.1.sarif" target/eavm-lint.sarif
 
-echo "==> cargo bench --no-run"
-cargo bench --no-run --workspace
-
 echo "==> cargo doc --no-deps"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 echo "==> results drift gate (committed figures re-run byte for byte)"
-# Every deterministic experiment binary must print exactly its
-# committed results/<name>.txt, so a change that moves a number has to
-# commit the new file. overload_shed reads the wall clock: not gated.
+# Every experiment binary must print exactly its committed
+# results/<name>.txt, so a change that moves a number has to commit the
+# new file. Binaries and results pair one to one: a binary with no
+# committed file, or a file no binary prints, fails the gate.
 DRIFT_DIR="$(mktemp -d)"
 TMP_DIRS+=("$DRIFT_DIR")
 for f in results/*.txt; do
     name="$(basename "$f" .txt)"
-    if [ "$name" = overload_shed ]; then continue; fi
+    test -f "crates/bench/src/bin/$name.rs" \
+        || { echo "results drift: $f has no binary crates/bench/src/bin/$name.rs"; exit 1; }
+done
+for bin in crates/bench/src/bin/*.rs; do
+    name="$(basename "$bin" .rs)"
+    f="results/$name.txt"
+    test -f "$f" \
+        || { echo "results drift: binary $name has no committed $f"; exit 1; }
     cargo run --release -q -p eavm-bench --bin "$name" > "$DRIFT_DIR/$name.txt" 2> /dev/null
     cmp -s "$f" "$DRIFT_DIR/$name.txt" \
         || { echo "results drift: $f differs from what $name prints"; \

@@ -26,7 +26,7 @@
 //! | `ablation_hetero`  | Table I parameters per server platform |
 //! | `hetero_fleet`     | mixed-hardware fleet, naive vs platform-aware PROACTIVE |
 //! | `seed_sweep`       | headline numbers across 5 trace seeds (mean ± std) |
-//! | `probe`            | calibration probe (scale/load/QoS knobs via argv) |
+//! | `overload_shed`    | flash crowds at 0.5–4× capacity against the overload plane |
 //!
 //! The library half hosts the shared [`pipeline`] (model building, trace
 //! synthesis/cleaning/adaptation, simulation driving) and [`report`]

@@ -85,21 +85,6 @@ impl Default for PipelineConfig {
     }
 }
 
-impl PipelineConfig {
-    /// A scaled-down configuration for fast tests (hundreds of VMs, small
-    /// clouds).
-    pub fn small(seed: u64) -> Self {
-        PipelineConfig {
-            seed,
-            total_vms: 600,
-            mean_burst_gap_s: 90.0,
-            qos_factor: 3.0,
-            qos_margin: 0.65,
-            smaller_servers: 5,
-        }
-    }
-}
-
 /// The assembled evaluation pipeline.
 #[derive(Debug, Clone)]
 pub struct Pipeline {
@@ -242,6 +227,19 @@ impl Pipeline {
 mod tests {
     use super::*;
 
+    /// A scaled-down configuration for fast tests (hundreds of VMs, small
+    /// clouds).
+    fn small(seed: u64) -> PipelineConfig {
+        PipelineConfig {
+            seed,
+            total_vms: 600,
+            mean_burst_gap_s: 90.0,
+            qos_factor: 3.0,
+            qos_margin: 0.65,
+            smaller_servers: 5,
+        }
+    }
+
     #[test]
     fn labels_match_paper_names() {
         let labels: Vec<String> = StrategyKind::paper_set()
@@ -253,7 +251,7 @@ mod tests {
 
     #[test]
     fn small_pipeline_builds_and_runs_ff() {
-        let p = Pipeline::build(PipelineConfig::small(7)).unwrap();
+        let p = Pipeline::build(small(7)).unwrap();
         assert!(p.total_vms() <= 600);
         assert!(p.total_vms() > 500);
         let (smaller, larger) = p.clouds();
@@ -266,7 +264,7 @@ mod tests {
 
     #[test]
     fn proactive_runs_on_small_pipeline() {
-        let p = Pipeline::build(PipelineConfig::small(8)).unwrap();
+        let p = Pipeline::build(small(8)).unwrap();
         let (smaller, _) = p.clouds();
         let out = p.run(StrategyKind::Pa(0.5), &smaller).unwrap();
         assert_eq!(out.strategy, "PA-0.5");
@@ -275,8 +273,8 @@ mod tests {
 
     #[test]
     fn pipeline_is_deterministic() {
-        let a = Pipeline::build(PipelineConfig::small(9)).unwrap();
-        let b = Pipeline::build(PipelineConfig::small(9)).unwrap();
+        let a = Pipeline::build(small(9)).unwrap();
+        let b = Pipeline::build(small(9)).unwrap();
         assert_eq!(a.requests, b.requests);
         let (cloud, _) = a.clouds();
         let ra = a.run(StrategyKind::Ff2, &cloud).unwrap();
